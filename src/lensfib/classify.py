@@ -30,20 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import NamedTuple
 
 from .construct import Construction, construct_fibration, construct_s2xs1
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
-from .exact_arith import gcd_nonneg
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented
 from .seifert import (
     CanonicalForm,
-    IsoType,
     SeifertFibration,
     fibration,
-    isomorphism_type,
     normalize,
+    reverse_canonical,
 )
 
 
@@ -92,7 +91,7 @@ def predicted_case(lens: LensSpace, m1: int, m2: int) -> CasePrediction:
     """Class counts and pairwise predicates for the weight pair {m1, m2}."""
     if m1 < 1 or m2 < 1:
         raise InvalidRangeError(f"weights must be >= 1, got ({m1}, {m2})")
-    if gcd_nonneg(m1, m2) != 1:
+    if gcd(m1, m2) != 1:
         raise NotCoprimeError(f"gcd({m1}, {m2}) != 1")
     if lens.p < 1:
         raise InvalidRangeError("the census needs p >= 1")
@@ -160,11 +159,11 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
                 ClassEntry(cf, weights, built.fibration, base_orbifold(built.fibration))
             )
 
+    reversed_forms = [reverse_canonical(entry.canonical) for entry in classes]
     reversing = []
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            t = isomorphism_type(classes[i].representative, classes[j].representative)
-            if t in (IsoType.REVERSING, IsoType.BOTH):
+            if classes[i].canonical == reversed_forms[j]:
                 reversing.append((i, j))
 
     if len(classes) != prediction.class_count:
@@ -180,23 +179,6 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
     return ClassificationReport(
         lens, (m1, m2), tuple(classes), tuple(reversing), prediction
     )
-
-
-def one_singular_list(lens: LensSpace, bound: int) -> list[SeifertFibration]:
-    """All fibrations M(0; (a2, p)) with at most one singular fibre and
-    0 < |a2| <= bound; a2 must satisfy a2 = q or a2*q = 1 (mod p)."""
-    if lens.p < 1:
-        raise InvalidRangeError("one-singular-fibre list needs p >= 1")
-    if bound < 1:
-        raise InvalidRangeError(f"bound must be >= 1, got {bound}")
-    p, q = lens.p, lens.q
-    out = []
-    for a2 in range(-bound, bound + 1):
-        if a2 == 0:
-            continue
-        if (a2 - q) % p == 0 or (a2 * q - 1) % p == 0:
-            out.append(fibration(0, (a2, p)))
-    return out
 
 
 def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
@@ -216,13 +198,13 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
         found.add(normalize(construct_s2xs1(1, 0)))
         for alpha in range(2, max_mult + 1):
             for beta in range(1, alpha):
-                if gcd_nonneg(alpha, beta) == 1:
+                if gcd(alpha, beta) == 1:
                     found.add(normalize(construct_s2xs1(alpha, beta)))
         return sorted(found)
 
     for m1 in range(1, max_mult + 1):
         for m2 in range(1, max_mult + 1):
-            if gcd_nonneg(m1, m2) != 1:
+            if gcd(m1, m2) != 1:
                 continue
             for a20 in (m2, -m2):
                 fib, trace = construct_fibration(lens, m1, a20)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .exact_arith import (
     check_magnitude,
-    gcd_nonneg,
     mod_inverse,
     unimodular_complement,
 )
@@ -81,7 +81,7 @@ class ModelWeights:
     def __post_init__(self):
         if self.k1 == 0 or self.k2 == 0:
             raise ZeroWeightError("model weights must be non-zero")
-        if gcd_nonneg(self.k1, self.k2) != 1:
+        if gcd(self.k1, self.k2) != 1:
             raise NotCoprimeError(f"gcd({self.k1}, {self.k2}) != 1")
 
 
@@ -90,7 +90,7 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     """Deterministic (r, s): s the inverse of q mod p lifted to [0, p)."""
     if p < 1:
         raise InvalidRangeError(f"p must be >= 1, got {p}")
-    if gcd_nonneg(p, q) != 1:
+    if gcd(p, q) != 1:
         raise NotCoprimeError(f"gcd({p}, {q}) != 1")
     s = mod_inverse(q, p)
     r = (1 - q * s) // p
@@ -120,7 +120,7 @@ def construct_fibration(
         )
     if a10 == 0 or a20 == 0:
         raise ZeroWeightError(f"weights must be non-zero, got ({a10}, {a20})")
-    if gcd_nonneg(a10, a20) != 1:
+    if gcd(a10, a20) != 1:
         raise NotCoprimeError(f"gcd({a10}, {a20}) != 1")
 
     r, s = gluing_choice(p, q)
@@ -128,7 +128,7 @@ def construct_fibration(
     r -= s_shift * q
 
     d = s * a10 - a20
-    u = gcd_nonneg(p, d)
+    u = gcd(p, d)
     alpha = p // u
     alpha1 = alpha * a10
     alpha2 = alpha * a20
@@ -138,7 +138,7 @@ def construct_fibration(
     beta1_prime += beta_shift * alpha1_prime
     beta2 = -s * beta1 + p * beta1_prime
 
-    assert gcd_nonneg(alpha2, beta2) == 1, (lens, a10, a20)
+    assert gcd(alpha2, beta2) == 1, (lens, a10, a20)
     assert alpha1 * beta2 + beta1 * alpha2 == p, (lens, a10, a20)
     check_magnitude(alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2)
 
@@ -157,7 +157,7 @@ def construct_s2xs1(alpha: int, beta: int) -> SeifertFibration:
     M(0; (alpha, beta), (alpha, -beta)) for coprime alpha > 0, beta >= 0."""
     if alpha < 1 or beta < 0:
         raise InvalidRangeError(f"need alpha >= 1 and beta >= 0, got ({alpha}, {beta})")
-    if gcd_nonneg(alpha, beta) != 1:
+    if gcd(alpha, beta) != 1:
         raise NotCoprimeError(f"gcd({alpha}, {beta}) != 1")
     return SeifertFibration(0, (SeifertPair(alpha, beta), SeifertPair(alpha, -beta)))
 
@@ -170,7 +170,7 @@ def s3_fibration(a1: int, a2: int) -> SeifertFibration:
     """
     if a1 < 1 or a2 < 1 or a1 < a2:
         raise InvalidRangeError(f"need a1 >= a2 >= 1, got ({a1}, {a2})")
-    if gcd_nonneg(a1, a2) != 1:
+    if gcd(a1, a2) != 1:
         raise NotCoprimeError(f"gcd({a1}, {a2}) != 1")
     b1 = mod_inverse(a2, a1)
     b2 = (1 - b1 * a2) // a1
@@ -191,7 +191,7 @@ def isotropy_order(lens: LensSpace, weights: ModelWeights) -> int:
     if lens.p < 1:
         raise InvalidRangeError(f"p must be >= 1, got {lens.p}")
     _, s = gluing_choice(lens.p, lens.q)
-    return gcd_nonneg(lens.p, s * weights.k2 - weights.k1)
+    return gcd(lens.p, s * weights.k2 - weights.k1)
 
 
 def isotropy_order_oracle(lens: LensSpace, weights: ModelWeights) -> int:

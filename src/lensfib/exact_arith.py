@@ -6,20 +6,13 @@ stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
 loudly instead of letting runaway intermediate values grow silently.  The
 threshold defaults to 2**62 and can be lowered for testing through the
 ``SEIFERT_MAX_INT_GUARD`` environment variable.
-
-Rationals are stdlib :class:`fractions.Fraction`, which already guarantees
-a reduced numerator/denominator pair with positive denominator.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from fractions import Fraction
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
-
-Rational = Fraction
 
 _GUARD_ENV = "SEIFERT_MAX_INT_GUARD"
 _DEFAULT_LIMIT = 2**62
@@ -66,11 +59,6 @@ def check_magnitude(*values: int) -> None:
     for v in values:
         if v > limit or -v > limit:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
-
-
-def gcd_nonneg(a: int, b: int) -> int:
-    """gcd(|a|, |b|) >= 0, with gcd(0, 0) = 0 and gcd(x, 0) = |x|."""
-    return math.gcd(a, b)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

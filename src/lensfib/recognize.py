@@ -16,9 +16,15 @@ diffeomorphic after reversing one orientation iff q = -q' or q*q' = -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .errors import NotCoprimeError, NotLensSpaceError, NotLensSpaceReason
-from .exact_arith import gcd_nonneg, mod_inverse, unimodular_complement
+from .errors import (
+    InvalidRangeError,
+    NotCoprimeError,
+    NotLensSpaceError,
+    NotLensSpaceReason,
+)
+from .exact_arith import mod_inverse, unimodular_complement
 from .seifert import SeifertFibration, SeifertPair, normalize, validate
 
 
@@ -32,13 +38,13 @@ class LensSpace:
 
     def __post_init__(self):
         if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+            raise InvalidRangeError(f"p must be >= 0, got {self.p}")
         if self.p == 0:
             if self.q != 1:
-                raise ValueError("the p = 0 lens space is L(0, 1)")
+                raise InvalidRangeError("the p = 0 lens space is L(0, 1)")
         elif not 0 <= self.q < self.p:
-            raise ValueError(f"q = {self.q} not normalized for p = {self.p}")
-        if gcd_nonneg(self.p, self.q) != 1:
+            raise InvalidRangeError(f"q = {self.q} not normalized for p = {self.p}")
+        if gcd(self.p, self.q) != 1:
             raise NotCoprimeError(f"gcd({self.p}, {self.q}) != 1")
 
     def __str__(self) -> str:
@@ -47,7 +53,7 @@ class LensSpace:
 
 def lens_normalize(p: int, q: int) -> LensSpace:
     """L(p, q) for arbitrary coprime (p, q): L(-p, -q) for p < 0, q mod p."""
-    if gcd_nonneg(p, q) != 1:
+    if gcd(p, q) != 1:
         raise NotCoprimeError(f"gcd({p}, {q}) != 1")
     if p < 0:
         p, q = -p, -q

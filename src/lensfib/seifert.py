@@ -18,6 +18,7 @@ fingerprint per isomorphism class, which is how isomorphism is decided here.
 from __future__ import annotations
 
 import re
+from math import gcd
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import (
     NotCoprimePairError,
     ZeroAlphaError,
 )
-from .exact_arith import check_magnitude, gcd_nonneg
+from .exact_arith import check_magnitude
 
 
 class SeifertPair(NamedTuple):
@@ -121,7 +122,7 @@ def validate(f: SeifertFibration) -> None:
     for i, (alpha, beta) in enumerate(f.pairs):
         if alpha == 0:
             raise ZeroAlphaError(f"pair {i} has alpha = 0")
-        if gcd_nonneg(alpha, beta) != 1:
+        if gcd(alpha, beta) != 1:
             raise NotCoprimePairError(
                 f"pair {i} = ({alpha}, {beta}) is not coprime"
             )
@@ -194,6 +195,16 @@ def reverse_orientation(f: SeifertFibration) -> SeifertFibration:
     return SeifertFibration(f.genus, tuple(SeifertPair(a, -b) for a, b in f.pairs))
 
 
+def reverse_canonical(cf: CanonicalForm) -> CanonicalForm:
+    """``normalize(reverse_orientation(f))`` computed from ``cf = normalize(f)``.
+
+    Each stored pair has 0 < r < alpha, so -r reduces to alpha - r with
+    quotient -1; together with the negated ``b`` that gives -b - n for n pairs.
+    """
+    pairs = sorted(SeifertPair(a, a - r) for a, r in cf.pairs)
+    return CanonicalForm(cf.genus, -cf.b - len(cf.pairs), tuple(pairs))
+
+
 def euler_number(f: SeifertFibration) -> Fraction:
     """-sum(beta_i / alpha_i), a move-invariant rational."""
     validate(f)
@@ -213,8 +224,9 @@ class IsoType(Enum):
 def isomorphism_type(f1: SeifertFibration, f2: SeifertFibration) -> IsoType:
     """How f1 and f2 compare as fibrations of oriented manifolds."""
     c1 = normalize(f1)
-    oriented = c1 == normalize(f2)
-    reversing = c1 == normalize(reverse_orientation(f2))
+    c2 = normalize(f2)
+    oriented = c1 == c2
+    reversing = c1 == reverse_canonical(c2)
     if oriented and reversing:
         return IsoType.BOTH
     if oriented:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import permutations
+from math import gcd
 
 from lensfib import (
     DeleteTrivial,
@@ -13,7 +14,6 @@ from lensfib import (
     SeifertPair,
     ShiftBetas,
     apply_move,
-    gcd_nonneg,
 )
 
 
@@ -40,7 +40,7 @@ def coprime_pairs(bound: int):
     """All ordered coprime (m1, m2) with 1 <= m1, m2 <= bound."""
     for m1 in range(1, bound + 1):
         for m2 in range(1, bound + 1):
-            if gcd_nonneg(m1, m2) == 1:
+            if gcd(m1, m2) == 1:
                 yield m1, m2
 
 
@@ -48,7 +48,7 @@ def lens_parameters(p_max: int):
     """All normalized (p, q) with 1 <= p <= p_max."""
     for p in range(1, p_max + 1):
         for q in range(p == 1 and 0 or 1, p or 1):
-            if gcd_nonneg(p, q) == 1:
+            if gcd(p, q) == 1:
                 yield p, q
 
 
@@ -56,7 +56,7 @@ def random_pair(rng, alpha_max: int = 9) -> SeifertPair:
     while True:
         alpha = rng.choice([-1, 1]) * rng.randint(1, alpha_max)
         beta = rng.randint(-alpha_max, alpha_max)
-        if gcd_nonneg(alpha, beta) == 1:
+        if gcd(alpha, beta) == 1:
             return SeifertPair(alpha, beta)
 
 

@@ -6,6 +6,7 @@ criterion; on success an `[acceptance] criterion N` line is printed as well
 """
 
 import random
+from math import gcd
 
 import pytest
 from helpers import apply_random_moves, coprime_pairs, lens_parameters
@@ -19,7 +20,6 @@ from lensfib import (
     euler_number,
     fibration,
     first_homology,
-    gcd_nonneg,
     gluing_choice,
     isotropy_order,
     isotropy_order_oracle,
@@ -38,7 +38,7 @@ SWEEP_WEIGHTS = [
     (a10, a20)
     for a10 in range(-12, 13)
     for a20 in range(-12, 13)
-    if a10 and a20 and gcd_nonneg(a10, a20) == 1
+    if a10 and a20 and gcd(a10, a20) == 1
 ]
 
 
@@ -69,7 +69,7 @@ def construct_sweep():
         for a10, a20 in SWEEP_WEIGHTS:
             fib, _ = construct_fibration(lens, a10, a20)
             (a1, b1), (a2, b2) = fib.pairs
-            if a1 * b2 + b1 * a2 != p or gcd_nonneg(a2, b2) != 1:
+            if a1 * b2 + b1 * a2 != p or gcd(a2, b2) != 1:
                 violations.append((p, q, a10, a20, "output contract"))
             if not lens_equal_oriented(recognize(fib), lens):
                 violations.append((p, q, a10, a20, "round trip"))
@@ -199,7 +199,7 @@ def test_criterion_4_choice_independence():
         lens = LensSpace(p, q)
         a10 = rng.choice([-1, 1]) * rng.randint(1, 12)
         a20 = rng.choice([-1, 1]) * rng.randint(1, 12)
-        if gcd_nonneg(a10, a20) != 1:
+        if gcd(a10, a20) != 1:
             continue
         ks = rng.randint(-5, 5)
         kb = rng.randint(-5, 5)
@@ -225,7 +225,7 @@ def test_criterion_5_isotropy_lemma():
             if key not in oracle_values:
                 oracle_values[key] = isotropy_order_oracle(lens, w)
             assert u == oracle_values[key], (p, q, k1, k2)
-            assert u == gcd_nonneg(p, q * k1 - k2), (p, q, k1, k2)
+            assert u == gcd(p, q * k1 - k2), (p, q, k1, k2)
             checks += 1
     figure = (LensSpace(6, 5), ModelWeights(3, 1))
     assert isotropy_order(*figure) == 2
@@ -273,7 +273,7 @@ def test_criterion_7_sphere_families_complete():
     pair_count = 0
     for a1 in range(1, 7):
         for a2 in range(1, a1 + 1):
-            if gcd_nonneg(a1, a2) != 1:
+            if gcd(a1, a2) != 1:
                 continue
             model = s3_fibration(a1, a2)
             b1 = model.pairs[0].beta
@@ -290,7 +290,7 @@ def test_criterion_7_sphere_families_complete():
     expected = set()
     for alpha in range(1, 7):
         for beta in range(0, alpha if alpha > 1 else 1):
-            if gcd_nonneg(alpha, beta) == 1:
+            if gcd(alpha, beta) == 1:
                 expected.add(canon(construct_s2xs1(alpha, beta)))
     assert got == expected
     for cf in got:

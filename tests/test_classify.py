@@ -9,10 +9,10 @@ from lensfib import (
     NotCoprimeError,
     classify_pair,
     enumerate_fibrations,
+    fibration,
     isomorphism_type,
     lens_equal_oriented,
     normalize,
-    one_singular_list,
     parse,
     predicted_case,
     recognize,
@@ -131,28 +131,15 @@ def test_classify_pair_census_sample():
                 )
 
 
-def test_one_singular_list_examples():
-    got = one_singular_list(LensSpace(1, 0), 3)
-    assert {f.pairs[0].alpha for f in got} == {-3, -2, -1, 1, 2, 3}
-    for f in got:
-        assert f.pairs[0].beta == 1
-
-    got = one_singular_list(LensSpace(5, 2), 10)
-    assert {f.pairs[0].alpha for f in got} == {2, 7, -3, -8, 3, 8, -2, -7}
-    for f in got:
-        assert f.pairs[0].beta == 5
-        assert lens_equal_oriented(recognize(f), LensSpace(5, 2))
-
-    got = one_singular_list(LensSpace(4, 1), 5)
-    assert {f.pairs[0].alpha for f in got} == {1, 5, -3}
-
-
 def test_one_singular_entries_enumerated():
+    # M(0;(a2,p)) has at most one singular fibre and lies on L(p,q) when
+    # a2 = q or a2*q = 1 (mod p).
     for p, q in [(5, 2), (4, 1), (7, 3), (1, 0)]:
         lens = LensSpace(p, q)
         enumerated = set(enumerate_fibrations(lens, 6))
-        for f in one_singular_list(lens, 6):
-            assert normalize(f) in enumerated
+        for a2 in range(-6, 7):
+            if a2 != 0 and ((a2 - q) % p == 0 or (a2 * q - 1) % p == 0):
+                assert normalize(fibration(0, (a2, p))) in enumerated
 
 
 def test_enumerate_s3():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from helpers import coprime_pairs, lens_parameters
@@ -13,7 +14,6 @@ from lensfib import (
     construct_fibration,
     construct_s2xs1,
     fibration,
-    gcd_nonneg,
     gluing_choice,
     isotropy_order,
     isotropy_order_oracle,
@@ -69,7 +69,7 @@ def test_construct_trace_identities():
             fib, tr = construct_fibration(lens, a10, a20)
             r, s = tr.choice
             assert q * s + p * r == 1
-            assert tr.u == gcd_nonneg(p, s * a10 - a20)
+            assert tr.u == gcd(p, s * a10 - a20)
             assert tr.alpha == p // tr.u
             assert tr.alpha1 == tr.alpha * a10
             assert tr.alpha2 == tr.alpha * a20
@@ -77,7 +77,7 @@ def test_construct_trace_identities():
             assert tr.alpha1 * tr.beta1_prime - tr.alpha1_prime * tr.beta1 == 1
             assert tr.beta2 == -s * tr.beta1 + p * tr.beta1_prime
             assert tr.alpha1 * tr.beta2 + tr.beta1 * tr.alpha2 == p
-            assert gcd_nonneg(tr.alpha2, tr.beta2) == 1
+            assert gcd(tr.alpha2, tr.beta2) == 1
             (pa1, pb1), (pa2, pb2) = fib.pairs
             assert (pa1, pb1, pa2, pb2) == (tr.alpha1, tr.beta1, tr.alpha2, tr.beta2)
 
@@ -98,12 +98,12 @@ def test_choice_independence():
     rng = random.Random(31)
     for _ in range(120):
         p = rng.randint(1, 30)
-        q = rng.choice([q for q in range(p or 1) if gcd_nonneg(p, q) == 1] or [0])
+        q = rng.choice([q for q in range(p or 1) if gcd(p, q) == 1] or [0])
         lens = LensSpace(p, q)
         a10 = rng.choice([-1, 1]) * rng.randint(1, 8)
         while True:
             a20 = rng.choice([-1, 1]) * rng.randint(1, 8)
-            if gcd_nonneg(a10, a20) == 1:
+            if gcd(a10, a20) == 1:
                 break
         base = canon(construct_fibration(lens, a10, a20).fibration)
         ks = rng.randint(-5, 5)
@@ -189,21 +189,21 @@ def test_isotropy_order_examples():
     for p, q in lens_parameters(15):
         lens = LensSpace(p, q)
         _, s = gluing_choice(p, q)
-        assert isotropy_order(lens, ModelWeights(1, 1)) == gcd_nonneg(p, s - 1)
+        assert isotropy_order(lens, ModelWeights(1, 1)) == gcd(p, s - 1)
 
 
 def test_isotropy_agreement_sample():
     for p, q in lens_parameters(20):
         lens = LensSpace(p, q)
         for k1, k2 in [(1, 1), (3, 1), (2, -5), (-4, 7), (6, 1)]:
-            if gcd_nonneg(k1, k2) != 1:
+            if gcd(k1, k2) != 1:
                 continue
             w = ModelWeights(k1, k2)
             u = isotropy_order(lens, w)
             assert u == isotropy_order_oracle(lens, w)
             # congruence bridge between the two gcd expressions
             _, s = gluing_choice(p, q)
-            assert u == gcd_nonneg(p, q * k1 - k2)
+            assert u == gcd(p, q * k1 - k2)
 
 
 def test_construct_matches_isotropy_u():

@@ -4,6 +4,7 @@ import pytest
 from helpers import apply_random_moves, lens_parameters
 
 from lensfib import (
+    DomainError,
     LensSpace,
     NotCoprimeError,
     NotLensSpaceError,
@@ -38,6 +39,12 @@ def test_lens_space_requires_normal_form():
         LensSpace(-3, 1)
     with pytest.raises(ValueError):
         LensSpace(0, 3)
+
+
+@pytest.mark.parametrize("p, q", [(7, 9), (-1, 0), (0, 2)])
+def test_lens_space_bad_parameters_are_domain_errors(p, q):
+    with pytest.raises(DomainError):
+        LensSpace(p, q)
 
 
 def test_recognize_examples():

@@ -27,6 +27,7 @@ from lensfib import (
     unparse,
     validate,
 )
+from lensfib.seifert import reverse_canonical
 
 
 def test_validate():
@@ -107,6 +108,13 @@ def test_reverse_orientation():
     for _ in range(200):
         f = random_fibration(rng)
         assert normalize(reverse_orientation(reverse_orientation(f))) == normalize(f)
+
+
+def test_reverse_canonical_matches_reversed_list():
+    rng = random.Random(22)
+    for _ in range(3000):
+        f = random_fibration(rng, genus_choices=range(-3, 4))
+        assert reverse_canonical(normalize(f)) == normalize(reverse_orientation(f))
 
 
 def test_euler_number_examples():
