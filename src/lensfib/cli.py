@@ -6,6 +6,11 @@ subcommand reparses to an equal value.  ``--json`` switches to a structured
 envelope ``{"command", "input", "result", ...}`` with deterministic key
 order; the exit code is 0 exactly when the status is ok, 1 on domain errors
 and 2 on usage errors.
+
+Each subcommand is one entry of :data:`COMMANDS`.  Its arguments are read
+into library values, which also give the envelope's ``input``; ``compute``
+turns them into the payload of the envelope, and ``render`` turns that same
+payload into the lines of text output.
 """
 
 from __future__ import annotations
@@ -13,16 +18,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple
 
 from . import classify as classify_mod
 from . import construct as construct_mod
 from . import pi1 as pi1_mod
 from .errors import DomainError, InvalidRangeError
 from .exact_arith import refresh_int_limit
-from .recognize import lens_normalize, recognize
+from .recognize import LensSpace, lens_normalize, recognize
 from .seifert import (
     CanonicalForm,
+    SeifertPair,
     euler_number,
     isomorphism_type,
     normalize,
@@ -32,298 +40,259 @@ from .seifert import (
 )
 
 
-def _int_pair(text: str, what: str) -> tuple[int, int]:
+def _int_pair(text: str, flag: str) -> tuple[int, int]:
+    # Read after argparse, not as its ``type``: argparse would turn this
+    # DomainError into a usage error (exit 2) instead of exit 1.
     parts = text.split(",")
     if len(parts) != 2:
-        raise InvalidRangeError(f"{what} must be two comma-separated integers, got {text!r}")
+        raise InvalidRangeError(f"{flag} must be two comma-separated integers, got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise InvalidRangeError(f"{what} must be integers, got {text!r}") from exc
+        raise InvalidRangeError(f"{flag} must be integers, got {text!r}") from exc
 
 
-def _rational_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+class Argument(NamedTuple):
+    """How an argument is declared, read into a library value, and echoed."""
+
+    options: dict
+    read: Callable[[str, str], object]
+    echo: Callable[[object], object]
 
 
+def _same(value, *_):
+    return value
+
+
+def _pair(metavar: str, make=lambda *pair: pair, echo=list) -> Argument:
+    """A required ``--option A,B`` whose two integers are passed to ``make``."""
+    return Argument({"required": True, "metavar": metavar},
+                    lambda text, flag: make(*_int_pair(text, flag)), echo)
+
+
+# Library functions are called through this module's globals, never bound
+# at import, so that whatever rebinds them (a tracer) sees every call.
+_LENS = _pair("P,Q", lambda p, q: lens_normalize(p, q), lambda lens: [lens.p, lens.q])
+_MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights, lambda w: [w.k1, w.k2])
+_FIBRATION = Argument({}, lambda text, flag: parse(text), lambda fib: unparse(fib))
+
+
+# Payloads keep the library's tuples, which json.dumps writes as arrays.
 def _canonical_json(cf: CanonicalForm) -> dict:
+    return dict(cf._asdict(), fibration=unparse(cf.expand()))
+
+
+def _fibration_result(fib) -> dict:
+    """The result of ``construct`` and ``model``."""
     return {
-        "genus": cf.genus,
-        "b": cf.b,
-        "pairs": [[a, b] for a, b in cf.pairs],
-        "fibration": unparse(cf.expand()),
+        "fibration": {"genus": fib.genus, "pairs": fib.pairs, "text": unparse(fib)},
+        "canonical": _canonical_json(normalize(fib)),
+        "lens": asdict(recognize(fib)),
     }
 
 
-def _fibration_json(f) -> dict:
-    return {"genus": f.genus, "pairs": [[a, b] for a, b in f.pairs], "text": unparse(f)}
+def _construct(lens, weights) -> dict:
+    fib, trace = construct_mod.construct_fibration(lens, *weights)
+    fields = trace._asdict()
+    fields.update(fields.pop("choice")._asdict())
+    return {"result": _fibration_result(fib), "trace": fields}
 
 
-def _trace_json(trace: construct_mod.ConstructionTrace) -> dict:
-    return {
-        "u": trace.u,
-        "alpha": trace.alpha,
-        "alpha1": trace.alpha1,
-        "alpha2": trace.alpha2,
-        "alpha1_prime": trace.alpha1_prime,
-        "beta1": trace.beta1,
-        "beta1_prime": trace.beta1_prime,
-        "beta2": trace.beta2,
-        "r": trace.choice.r,
-        "s": trace.choice.s,
-    }
+def _normalize(fibration) -> dict:
+    result = _canonical_json(normalize(fibration))
+    euler = euler_number(fibration)
+    return {"result": dict(result, euler={"num": euler.numerator, "den": euler.denominator})}
 
 
-def _print_trace(trace: construct_mod.ConstructionTrace) -> None:
-    print(
-        f"trace u={trace.u} alpha={trace.alpha} alpha1={trace.alpha1} "
-        f"alpha2={trace.alpha2} alpha1'={trace.alpha1_prime} "
-        f"beta1={trace.beta1} beta1'={trace.beta1_prime} beta2={trace.beta2} "
-        f"r={trace.choice.r} s={trace.choice.s}"
-    )
-
-
-def _cmd_construct(args) -> tuple[dict, dict]:
-    lens = lens_normalize(*_int_pair(args.lens, "--lens"))
-    a10, a20 = _int_pair(args.weights, "--weights")
-    fib, trace = construct_mod.construct_fibration(lens, a10, a20)
-    cf = normalize(fib)
-    back = recognize(fib)
-    if not args.json:
-        print(f"fibration {unparse(fib)}")
-        print(f"canonical {unparse(cf.expand())}")
-        print(f"lens {back}")
-        _print_trace(trace)
-    result = {
-        "fibration": _fibration_json(fib),
-        "canonical": _canonical_json(cf),
-        "lens": {"p": back.p, "q": back.q},
-    }
-    return {"lens": [lens.p, lens.q], "weights": [a10, a20]}, {
-        "result": result,
-        "trace": _trace_json(trace),
-    }
-
-
-def _cmd_recognize(args) -> tuple[dict, dict]:
-    fib = parse(args.fibration)
-    lens = recognize(fib)
-    if not args.json:
-        print(str(lens))
-    return {"fibration": unparse(fib)}, {"result": {"p": lens.p, "q": lens.q}}
-
-
-def _cmd_normalize(args) -> tuple[dict, dict]:
-    fib = parse(args.fibration)
-    cf = normalize(fib)
-    euler = euler_number(fib)
-    if not args.json:
-        print(f"canonical genus={cf.genus} b={cf.b} "
-              f"pairs={','.join(map(str, cf.pairs)) or '-'}")
-        print(f"fibration {unparse(cf.expand())}")
-        print(f"euler {euler}")
-    result = dict(_canonical_json(cf), euler=_rational_json(euler))
-    return {"fibration": unparse(fib)}, {"result": result}
-
-
-def _cmd_iso(args) -> tuple[dict, dict]:
-    f1 = parse(args.first)
-    f2 = parse(args.second)
-    t = isomorphism_type(f1, f2)
-    if not args.json:
-        print(t.value)
-    return {"first": unparse(f1), "second": unparse(f2)}, {"result": t.value}
-
-
-def _cmd_classify(args) -> tuple[dict, dict]:
-    lens = lens_normalize(*_int_pair(args.lens, "--lens"))
-    m1, m2 = _int_pair(args.pair, "--pair")
-    report = classify_mod.classify_pair(lens, m1, m2)
-    if not args.json:
-        print(f"case {report.prediction.tag.value}")
-        print(f"classes {len(report.classes)}")
-        for i, entry in enumerate(report.classes):
-            print(
-                f"class {i}: {unparse(entry.canonical.expand())} "
-                f"weights=({entry.weights[0]},{entry.weights[1]}) "
-                f"base={entry.orbifold}"
-            )
-        pairs = " ".join(f"({i},{j})" for i, j in report.reversing_pairs) or "-"
-        print(f"reversing pairs {pairs}")
-    result = {
-        "case": report.prediction.tag.value,
+def _classify(lens, pair) -> dict:
+    report = classify_mod.classify_pair(lens, *pair)
+    prediction = report.prediction
+    return {"result": {
+        "case": prediction.tag.value,
         "class_count": len(report.classes),
         "classes": [
             {
                 "canonical": _canonical_json(e.canonical),
-                "weights": list(e.weights),
+                "weights": e.weights,
                 "representative": unparse(e.representative),
                 "base_orbifold": str(e.orbifold),
             }
             for e in report.classes
         ],
-        "reversing_pairs": [list(p) for p in report.reversing_pairs],
+        "reversing_pairs": report.reversing_pairs,
         "predicates": {
-            "flip_gives_reversing": report.prediction.flip_gives_reversing,
-            "exchange_gives_oriented": report.prediction.exchange_gives_oriented,
-            "exchange_flip_gives_reversing":
-                report.prediction.exchange_flip_gives_reversing,
+            "flip_gives_reversing": prediction.flip_gives_reversing,
+            "exchange_gives_oriented": prediction.exchange_gives_oriented,
+            "exchange_flip_gives_reversing": prediction.exchange_flip_gives_reversing,
         },
-    }
-    return {"lens": [lens.p, lens.q], "pair": [m1, m2]}, {"result": result}
+    }}
 
 
-def _cmd_enumerate(args) -> tuple[dict, dict]:
-    lens = lens_normalize(*_int_pair(args.lens, "--lens"))
-    forms = classify_mod.enumerate_fibrations(lens, args.max_mult)
-    if not args.json:
-        for cf in forms:
-            print(unparse(cf.expand()))
-    result = [_canonical_json(cf) for cf in forms]
-    return {"lens": [lens.p, lens.q], "max_mult": args.max_mult}, {"result": result}
-
-
-def _cmd_model(args) -> tuple[dict, dict]:
-    lens = lens_normalize(*_int_pair(args.lens, "--lens"))
-    k1, k2 = _int_pair(args.weights, "--weights")
-    fib = construct_mod.model_fibration(lens, construct_mod.ModelWeights(k1, k2))
-    cf = normalize(fib)
-    back = recognize(fib)
-    if not args.json:
-        print(f"fibration {unparse(fib)}")
-        print(f"canonical {unparse(cf.expand())}")
-        print(f"lens {back}")
-    result = {
-        "fibration": _fibration_json(fib),
-        "canonical": _canonical_json(cf),
-        "lens": {"p": back.p, "q": back.q},
-    }
-    return {"lens": [lens.p, lens.q], "weights": [k1, k2]}, {"result": result}
-
-
-def _cmd_isotropy(args) -> tuple[dict, dict]:
-    lens = lens_normalize(*_int_pair(args.lens, "--lens"))
-    k1, k2 = _int_pair(args.weights, "--weights")
-    weights = construct_mod.ModelWeights(k1, k2)
-    u = construct_mod.isotropy_order(lens, weights)
-    if not args.json:
-        print(u)
-    return {"lens": [lens.p, lens.q], "weights": [k1, k2]}, {"result": {"u": u}}
-
-
-def _cmd_pi1(args) -> tuple[dict, dict]:
-    fib = parse(args.fibration)
-    pres = pi1_mod.presentation(fib)
-    orb = pi1_mod.base_orbifold(fib)
-    if not args.json:
-        print(str(pres))
-        print(f"base {orb}")
-    result = {
-        "generators": list(pres.generators),
+def _pi1(fibration) -> dict:
+    pres = pi1_mod.presentation(fibration)
+    orb = pi1_mod.base_orbifold(fibration)
+    return {"result": {
+        "generators": pres.generators,
         "relators": [pi1_mod.render_word(w) for w in pres.relators],
-        "base_orbifold": {
-            "surface": orb.surface,
-            "genus": orb.genus,
-            "cone_orders": list(orb.cone_orders),
-        },
-    }
-    return {"fibration": unparse(fib)}, {"result": result}
+        "base_orbifold": {"surface": orb.surface, **orb._asdict()},
+    }}
 
 
-def _cmd_homology(args) -> tuple[dict, dict]:
-    fib = parse(args.fibration)
-    factors = pi1_mod.first_homology(fib)
-    if not args.json:
-        print(" ".join(map(str, factors)) if factors else "trivial")
-    return {"fibration": unparse(fib)}, {"result": {"invariant_factors": list(factors)}}
-
-
-def _cmd_parse_check(args) -> tuple[dict, dict]:
-    fib = parse(args.fibration)
+def _parse_check(fibration: str) -> dict:
+    fib = parse(fibration)
     validate(fib)
-    if not args.json:
-        print("ok")
-    return {"fibration": args.fibration}, {"result": {"fibration": unparse(fib)}}
+    return {"result": {"fibration": unparse(fib)}}
+
+
+def _render_fibration(payload: dict) -> Iterable[str]:
+    result = payload["result"]
+    yield f"fibration {result['fibration']['text']}"
+    yield f"canonical {result['canonical']['fibration']}"
+    yield f"lens {LensSpace(**result['lens'])}"
+    if "trace" in payload:
+        fields = " ".join(f"{k}={v}" for k, v in payload["trace"].items())
+        yield "trace " + fields.replace("_prime", "'")
+
+
+def _render_normalize(payload: dict) -> Iterable[str]:
+    result = payload["result"]
+    pairs = ",".join(str(SeifertPair(*pair)) for pair in result["pairs"]) or "-"
+    yield f"canonical genus={result['genus']} b={result['b']} pairs={pairs}"
+    yield f"fibration {result['fibration']}"
+    yield f"euler {Fraction(result['euler']['num'], result['euler']['den'])}"
+
+
+def _render_classify(payload: dict) -> Iterable[str]:
+    result = payload["result"]
+    yield f"case {result['case']}"
+    yield f"classes {result['class_count']}"
+    for i, entry in enumerate(result["classes"]):
+        w1, w2 = entry["weights"]
+        yield (f"class {i}: {entry['canonical']['fibration']} "
+               f"weights=({w1},{w2}) base={entry['base_orbifold']}")
+    pairs = " ".join(f"({i},{j})" for i, j in result["reversing_pairs"]) or "-"
+    yield f"reversing pairs {pairs}"
+
+
+def _render_pi1(payload: dict) -> Iterable[str]:
+    result = payload["result"]
+    orb = result["base_orbifold"]
+    yield f"< {', '.join(result['generators'])} | {', '.join(result['relators'])} >"
+    yield f"base {pi1_mod.BaseOrbifold(orb['genus'], orb['cone_orders'])}"
+
+
+class Command(NamedTuple):
+    help: str
+    arguments: dict[str, Argument]
+    compute: Callable[..., dict]
+    render: Callable[[dict], Iterable[str]]
+
+
+COMMANDS: dict[str, Command] = {
+    "construct": Command(
+        "build a fibration with given weights",
+        {"--lens": _LENS, "--weights": _pair("A1,A2")}, _construct, _render_fibration),
+    "recognize": Command(
+        "oriented lens type of a fibration", {"fibration": _FIBRATION},
+        lambda fibration: {"result": asdict(recognize(fibration))},
+        lambda payload: [str(LensSpace(**payload["result"]))]),
+    "normalize": Command(
+        "canonical form of an invariant list", {"fibration": _FIBRATION},
+        _normalize, _render_normalize),
+    "iso": Command(
+        "compare two fibrations up to isomorphism",
+        {"first": _FIBRATION, "second": _FIBRATION},
+        lambda first, second: {"result": isomorphism_type(first, second).value},
+        lambda payload: [payload["result"]]),
+    "classify": Command(
+        "classes for an unordered weight pair",
+        {"--lens": _LENS, "--pair": _pair("M1,M2")}, _classify, _render_classify),
+    "enumerate": Command(
+        "all classes with bounded multiplicities",
+        {"--lens": _LENS, "--max-mult": Argument({"required": True, "type": int}, _same, _same)},
+        lambda lens, max_mult: {"result": [
+            _canonical_json(cf) for cf in classify_mod.enumerate_fibrations(lens, max_mult)]},
+        lambda payload: [cf["fibration"] for cf in payload["result"]]),
+    "model": Command(
+        "invariants of a weighted circle action",
+        {"--lens": _LENS, "--weights": _MODEL_WEIGHTS},
+        lambda lens, weights: {"result": _fibration_result(
+            construct_mod.model_fibration(lens, weights))},
+        _render_fibration),
+    "isotropy": Command(
+        "fibre-preserving deck transformations",
+        {"--lens": _LENS, "--weights": _MODEL_WEIGHTS},
+        lambda lens, weights: {"result": {"u": construct_mod.isotropy_order(lens, weights)}},
+        lambda payload: [str(payload["result"]["u"])]),
+    "pi1": Command(
+        "fundamental-group presentation", {"fibration": _FIBRATION}, _pi1, _render_pi1),
+    "homology": Command(
+        "first-homology invariant factors", {"fibration": _FIBRATION},
+        lambda fibration: {"result": {
+            "invariant_factors": list(pi1_mod.first_homology(fibration))}},
+        lambda payload: [" ".join(map(str, payload["result"]["invariant_factors"]))
+                         or "trivial"]),
+    "parse-check": Command(
+        "validate invariant-list text", {"fibration": Argument({}, _same, _same)},
+        _parse_check, lambda payload: ["ok"]),
+}
+
+
+class _UsageError(Exception):
+    """argparse rejected the command line; args are (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lensfib",
         description="Seifert fibrations of lens spaces, in exact arithmetic.",
     )
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a fibration with given weights")
-    p.add_argument("--lens", required=True, metavar="P,Q")
-    p.add_argument("--weights", required=True, metavar="A1,A2")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("recognize", help="oriented lens type of a fibration")
-    p.add_argument("fibration")
-    p.set_defaults(handler=_cmd_recognize)
-
-    p = sub.add_parser("normalize", help="canonical form of an invariant list")
-    p.add_argument("fibration")
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("iso", help="compare two fibrations up to isomorphism")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=_cmd_iso)
-
-    p = sub.add_parser("classify", help="classes for an unordered weight pair")
-    p.add_argument("--lens", required=True, metavar="P,Q")
-    p.add_argument("--pair", required=True, metavar="M1,M2")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("enumerate", help="all classes with bounded multiplicities")
-    p.add_argument("--lens", required=True, metavar="P,Q")
-    p.add_argument("--max-mult", required=True, type=int, dest="max_mult")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("model", help="invariants of a weighted circle action")
-    p.add_argument("--lens", required=True, metavar="P,Q")
-    p.add_argument("--weights", required=True, metavar="K1,K2")
-    p.set_defaults(handler=_cmd_model)
-
-    p = sub.add_parser("isotropy", help="fibre-preserving deck transformations")
-    p.add_argument("--lens", required=True, metavar="P,Q")
-    p.add_argument("--weights", required=True, metavar="K1,K2")
-    p.set_defaults(handler=_cmd_isotropy)
-
-    p = sub.add_parser("pi1", help="fundamental-group presentation")
-    p.add_argument("fibration")
-    p.set_defaults(handler=_cmd_pi1)
-
-    p = sub.add_parser("homology", help="first-homology invariant factors")
-    p.add_argument("fibration")
-    p.set_defaults(handler=_cmd_homology)
-
-    p = sub.add_parser("parse-check", help="validate invariant-list text")
-    p.add_argument("fibration")
-    p.set_defaults(handler=_cmd_parse_check)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, argument in command.arguments.items():
+            p.add_argument(flag, **argument.options)
     return parser
 
 
 def run(argv: list[str]) -> int:
     refresh_int_limit()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
     try:
-        echo, payload = args.handler(args)
+        parser.parse_args(argv, args)
+    except _UsageError as exc:
+        failed, message = exc.args
+        if not getattr(args, "json", False):
+            argparse.ArgumentParser.error(failed, message)
+        print(json.dumps({"command": getattr(args, "command", None),
+                          "status": "error", "error": message}))
+        raise SystemExit(2) from None
+    command = COMMANDS[args.command]
+    values, echo = {}, {}
+    try:
+        for flag, argument in command.arguments.items():
+            dest = flag.lstrip("-").replace("-", "_")
+            values[dest] = argument.read(getattr(args, dest), flag)
+            echo[dest] = argument.echo(values[dest])
+        payload = command.compute(**values)
     except DomainError as exc:
         if args.json:
-            envelope = {"command": args.command, "status": "error", "error": str(exc)}
-            print(json.dumps(envelope))
+            print(json.dumps({"command": args.command, "status": "error", "error": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        envelope = {"command": args.command, "input": echo, "status": "ok"}
-        envelope.update(payload)
-        print(json.dumps(envelope))
+        print(json.dumps({"command": args.command, "input": echo, "status": "ok", **payload}))
+    else:
+        for line in command.render(payload):
+            print(line)
     return 0
 
 

@@ -149,6 +149,29 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_error_json_envelope(capsys):
+    cases = [
+        (["construct", "--lens", "7,2"], "construct", "--weights"),
+        (["enumerate", "--lens", "7,2", "--max-mult", "x"], "enumerate", "invalid int"),
+        (["no-such-command"], None, "invalid choice"),
+    ]
+    for argv, command, reason in cases:
+        with pytest.raises(SystemExit) as exc:
+            run(["--json", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        env = json.loads(out)
+        assert list(env) == ["command", "status", "error"]
+        assert env["command"] == command and env["status"] == "error"
+        assert reason in env["error"]
+        # text mode keeps argparse's usage message on stderr
+        with pytest.raises(SystemExit):
+            run(argv)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: lensfib") and reason in err
+
+
 def test_bad_pair_syntax_is_domain_error(capsys):
     code, _, err = invoke(capsys, "construct", "--lens", "7;2", "--weights", "5,2")
     assert code == 1 and "comma" in err
