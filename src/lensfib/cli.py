@@ -64,7 +64,7 @@ def _same(value, *_):
     return value
 
 
-def _pair(metavar: str, make=lambda *pair: pair, echo=list) -> Argument:
+def _pair(metavar: str, make: Callable, echo: Callable) -> Argument:
     """A required ``--option A,B`` whose two integers are passed to ``make``."""
     return Argument({"required": True, "metavar": metavar},
                     lambda text, flag: make(*_int_pair(text, flag)), echo)
@@ -73,8 +73,12 @@ def _pair(metavar: str, make=lambda *pair: pair, echo=list) -> Argument:
 # Library functions are called through this module's globals, never bound
 # at import, so that whatever rebinds them (a tracer) sees every call.
 _LENS = _pair("P,Q", lambda p, q: lens_normalize(p, q), lambda lens: [lens.p, lens.q])
+_WEIGHTS = _pair("A1,A2", lambda a, b: (a, b), list)
+_PAIR = _pair("M1,M2", lambda a, b: (a, b), list)
 _MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights, lambda w: [w.k1, w.k2])
 _FIBRATION = Argument({}, lambda text, flag: parse(text), lambda fib: unparse(fib))
+_TEXT = Argument({}, _same, _same)
+_INT = Argument({"required": True, "type": int}, _same, _same)
 
 
 # Payloads keep the library's tuples, which json.dumps writes as arrays.
@@ -182,6 +186,8 @@ def _render_pi1(payload: dict) -> Iterable[str]:
 
 
 class Command(NamedTuple):
+    """One subcommand; ``compute`` takes the values its arguments read into."""
+
     help: str
     arguments: dict[str, Argument]
     compute: Callable[..., dict]
@@ -191,7 +197,7 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "construct": Command(
         "build a fibration with given weights",
-        {"--lens": _LENS, "--weights": _pair("A1,A2")}, _construct, _render_fibration),
+        {"--lens": _LENS, "--weights": _WEIGHTS}, _construct, _render_fibration),
     "recognize": Command(
         "oriented lens type of a fibration", {"fibration": _FIBRATION},
         lambda fibration: {"result": asdict(recognize(fibration))},
@@ -206,10 +212,10 @@ COMMANDS: dict[str, Command] = {
         lambda payload: [payload["result"]]),
     "classify": Command(
         "classes for an unordered weight pair",
-        {"--lens": _LENS, "--pair": _pair("M1,M2")}, _classify, _render_classify),
+        {"--lens": _LENS, "--pair": _PAIR}, _classify, _render_classify),
     "enumerate": Command(
         "all classes with bounded multiplicities",
-        {"--lens": _LENS, "--max-mult": Argument({"required": True, "type": int}, _same, _same)},
+        {"--lens": _LENS, "--max-mult": _INT},
         lambda lens, max_mult: {"result": [
             _canonical_json(cf) for cf in classify_mod.enumerate_fibrations(lens, max_mult)]},
         lambda payload: [cf["fibration"] for cf in payload["result"]]),
@@ -233,7 +239,7 @@ COMMANDS: dict[str, Command] = {
         lambda payload: [" ".join(map(str, payload["result"]["invariant_factors"]))
                          or "trivial"]),
     "parse-check": Command(
-        "validate invariant-list text", {"fibration": Argument({}, _same, _same)},
+        "validate invariant-list text", {"fibration": _TEXT},
         _parse_check, lambda payload: ["ok"]),
 }
 
