@@ -12,8 +12,10 @@ import pytest
 from helpers import apply_random_moves, coprime_pairs, lens_parameters
 
 from lensfib import (
+    CanonicalForm,
     LensSpace,
     ModelWeights,
+    SeifertPair,
     construct_fibration,
     construct_s2xs1,
     enumerate_fibrations,
@@ -296,6 +298,55 @@ def test_criterion_7_sphere_families_complete():
     for cf in got:
         assert recognize(cf.expand()) == LensSpace(0, 1)
     _ok(7, "sphere and product families enumerate exactly")
+
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def test_enumeration_matches_brute_force_census():
+    """Every genus-0 canonical form with at most two stored pairs of order
+    <= N whose lens order is <= P, recognized and bucketed by lens, is
+    exactly what enumerate_fibrations returns for that lens."""
+    n_max, p_max = 12, 30
+    stored = [
+        SeifertPair(alpha, beta)
+        for alpha in range(2, n_max + 1)
+        for beta in range(1, alpha)
+        if gcd(alpha, beta) == 1
+    ]
+    forms = []
+    # No pair: the order is |b|.  One pair (a1, r1): |a1*b + r1|.
+    # Two pairs: |a1*a2*b + a1*r2 + a2*r1|.
+    for b in range(-p_max, p_max + 1):
+        forms.append(CanonicalForm(0, b, ()))
+    for (a1, r1) in stored:
+        for b in range(_ceil_div(-p_max - r1, a1), (p_max - r1) // a1 + 1):
+            forms.append(CanonicalForm(0, b, (SeifertPair(a1, r1),)))
+    for i, first in enumerate(stored):
+        for second in stored[i:]:
+            (a1, r1), (a2, r2) = first, second
+            k, c = a1 * a2, a1 * r2 + a2 * r1
+            for b in range(_ceil_div(-p_max - c, k), (p_max - c) // k + 1):
+                forms.append(CanonicalForm(0, b, (first, second)))
+
+    buckets = {}
+    for cf in forms:
+        assert normalize(cf.expand()) == cf
+        buckets.setdefault(recognize(cf.expand()), set()).add(cf)
+    assert all(0 <= lens.p <= p_max for lens in buckets)
+
+    lenses = [LensSpace(0, 1)] + [LensSpace(p, q) for p, q in lens_parameters(p_max)]
+    for lens in lenses:
+        expected = set()
+        for key, bucket in buckets.items():
+            if lens_equal_oriented(key, lens):
+                expected |= bucket
+        if lens_equal_oriented(lens, LensSpace(4, 1)):
+            expected.add(normalize(fibration(-1, (1, 1))))
+        elif lens_equal_oriented(lens, LensSpace(4, 3)):
+            expected.add(normalize(fibration(-1, (1, -1))))
+        assert set(enumerate_fibrations(lens, n_max)) == expected, lens
 
 
 def test_criterion_8_move_and_parse_robustness():
