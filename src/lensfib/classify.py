@@ -33,7 +33,12 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .construct import Construction, construct_fibration, construct_s2xs1
+from .construct import (
+    Construction,
+    construct_fibration,
+    construct_s2xs1,
+    gluing_choice,
+)
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented
@@ -184,10 +189,16 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
 def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     """All fibration classes of ``lens`` with multiplicities <= max_mult.
 
-    For p >= 1 this sweeps the weight pairs (positive first weight is
-    enough, since negating both weights changes nothing) and keeps the
-    constructions whose resulting multiplicities stay within the bound,
-    adding the projective-plane fibration for L(4,1) and L(4,3).  For the
+    For p >= 1 every class comes from a weight pair (a10, a20), and a10 > 0
+    is enough, since negating both weights changes nothing.  The recipe
+    gives multiplicities alpha*|a10| and alpha*|a20| with alpha = p/u and
+    u = gcd(p, s*a10 - a20).  So the sweep runs over the divisors alpha of
+    p up to max_mult (trial division, no factoring), takes both weights up
+    to max_mult // alpha, and lets a20 run only over the residue class of
+    s*a10 modulo u.  A pair is built only when it is coprime and its u is
+    exactly this one, so each pair is built once, under its own alpha, and
+    the work is proportional to max_mult plus the pairs built.  The
+    projective-plane fibration is added for L(4,1) and L(4,3).  For the
     p = 0 space it is the family M(0; (alpha, beta), (alpha, -beta)).
     """
     if max_mult < 1:
@@ -202,14 +213,18 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
                     found.add(normalize(construct_s2xs1(alpha, beta)))
         return sorted(found)
 
-    for m1 in range(1, max_mult + 1):
-        for m2 in range(1, max_mult + 1):
-            if gcd(m1, m2) != 1:
-                continue
-            for a20 in (m2, -m2):
-                fib, trace = construct_fibration(lens, m1, a20)
-                if abs(trace.alpha1) <= max_mult and abs(trace.alpha2) <= max_mult:
-                    found.add(normalize(fib))
+    p = lens.p
+    _, s = gluing_choice(p, lens.q)
+    for alpha in range(1, min(p, max_mult) + 1):
+        if p % alpha:
+            continue
+        u, bound = p // alpha, max_mult // alpha
+        for a10 in range(1, bound + 1):
+            # The least a20 >= -bound with a20 = s*a10 (mod u).
+            first = (s * a10 + bound) % u - bound
+            for a20 in range(first, bound + 1, u):
+                if a20 and gcd(a10, a20) == 1 and gcd(p, s * a10 - a20) == u:
+                    found.add(normalize(construct_fibration(lens, a10, a20).fibration))
     if lens_equal_oriented(lens, LensSpace(4, 1)):
         found.add(normalize(fibration(-1, (1, 1))))
     elif lens_equal_oriented(lens, LensSpace(4, 3)):

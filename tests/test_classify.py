@@ -1,6 +1,7 @@
 import pytest
 from helpers import lens_parameters
 
+from lensfib import classify as classify_mod
 from lensfib import (
     CaseTag,
     InvalidRangeError,
@@ -8,6 +9,7 @@ from lensfib import (
     LensSpace,
     NotCoprimeError,
     classify_pair,
+    construct_fibration,
     enumerate_fibrations,
     fibration,
     isomorphism_type,
@@ -187,3 +189,19 @@ def test_enumerate_respects_bound_and_determinism():
         for cf in got:
             for alpha, _ in cf.pairs:
                 assert alpha <= 7
+
+
+def test_enumerate_cost_is_output_sensitive(monkeypatch):
+    """For a prime p > N only alpha = 1 divides p, and a20 is pinned to one
+    residue class modulo p, so at most 2N constructions are made."""
+    lens, bound = LensSpace(1009, 400), 100
+    expected = enumerate_fibrations(lens, bound)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return construct_fibration(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "construct_fibration", counting)
+    assert enumerate_fibrations(lens, bound) == expected
+    assert 0 < len(calls) <= 2 * bound
