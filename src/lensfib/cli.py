@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    refresh_int_limit()
     parser = build_parser()
     args = argparse.Namespace()
     try:
@@ -283,6 +282,7 @@ def run(argv: list[str]) -> int:
     command = COMMANDS[args.command]
     values, echo = {}, {}
     try:
+        refresh_int_limit()
         for flag, argument in command.arguments.items():
             dest = flag.lstrip("-").replace("-", "_")
             values[dest] = argument.read(getattr(args, dest), flag)

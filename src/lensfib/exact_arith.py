@@ -31,7 +31,12 @@ def _read_limit_from_env() -> int:
     return limit
 
 
-_int_limit = _read_limit_from_env()
+try:
+    _int_limit = _read_limit_from_env()
+except InvalidRangeError:
+    # Importing never fails; a bad value is reported where it is re-read,
+    # by refresh_int_limit (the CLI re-reads it on every run).
+    _int_limit = _DEFAULT_LIMIT
 
 
 def int_limit() -> int:

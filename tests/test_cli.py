@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -185,6 +186,31 @@ def test_env_guard(capsys, monkeypatch):
     monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
     code, _, _ = invoke(capsys, "construct", "--lens", "47,13", "--weights", "11,7")
     assert code == 0
+
+
+BAD_GUARD_ENVELOPE = {
+    "command": "recognize",
+    "status": "error",
+    "error": "SEIFERT_MAX_INT_GUARD must be an integer, got 'abc'",
+}
+
+
+def test_bad_env_guard_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "abc")
+    code, out, err = invoke(capsys, "--json", "recognize", "M(0;)")
+    assert code == 1 and err == ""
+    assert json.loads(out) == BAD_GUARD_ENVELOPE
+
+
+def test_bad_env_guard_at_import_is_domain_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lensfib.cli", "--json", "recognize", "M(0;)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, SEIFERT_MAX_INT_GUARD="abc"),
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == BAD_GUARD_ENVELOPE
 
 
 def test_console_script_installed():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -208,3 +211,17 @@ def test_int_guard(restore_limit, monkeypatch):
         refresh_int_limit()
     monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
     assert refresh_int_limit() == 2**62
+
+
+@pytest.mark.parametrize("raw, limit", [("55", 55), ("abc", 2**62), ("0", 2**62)])
+def test_import_reads_guard_and_never_raises(raw, limit):
+    """A valid SEIFERT_MAX_INT_GUARD applies at import; a bad one leaves the
+    default in place, to be reported by refresh_int_limit."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lensfib.exact_arith as e; print(e.int_limit())"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, SEIFERT_MAX_INT_GUARD=raw),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == limit
