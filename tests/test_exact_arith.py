@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -159,6 +160,25 @@ def test_snf_divisibility_and_determinant_random():
         for f in factors:
             prod *= f
         assert prod == abs(det_bruteforce(m))
+
+
+def test_snf_prefix_products_are_gcds_of_minors_random():
+    """d1*...*dk is the gcd of all k x k minors, for every k."""
+    rng = random.Random(606)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        factors = smith_normal_form(m)
+        assert len(factors) == min(rows, cols)
+        prefix = 1
+        for k, d in enumerate(factors, start=1):
+            prefix *= d
+            minors_gcd = 0
+            for rs in combinations(range(rows), k):
+                for cs in combinations(range(cols), k):
+                    minor = [[m[r][c] for c in cs] for r in rs]
+                    minors_gcd = gcd(minors_gcd, det_bruteforce(minor))
+            assert prefix == minors_gcd, (m, factors, k)
 
 
 def _random_unimodular_ops(rng, m):
