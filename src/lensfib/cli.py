@@ -4,8 +4,9 @@ Lens spaces are written ``p,q`` and invariant lists in the same notation the
 library parses, e.g. ``M(0;(35,-2),(14,1))``.  Every fibration printed by a
 subcommand reparses to an equal value.  ``--json`` switches to a structured
 envelope ``{"command", "input", "result", ...}`` with deterministic key
-order; the exit code is 0 exactly when the status is ok, 1 on domain errors
-and 2 on usage errors.
+order; the exit code is 0 exactly when the status is ok, 1 on domain errors,
+2 on usage errors and 3 when the program itself fails (any other exception,
+such as a ``MemoryError``; its message names the exception's class).
 
 Each subcommand is one entry of :data:`COMMANDS`.  Its arguments are read
 into library values, which also give the envelope's ``input``; ``compute``
@@ -16,6 +17,7 @@ payload into the lines of text output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -58,6 +60,7 @@ class Argument(NamedTuple):
     options: dict
     read: Callable[[str, str], object]
     echo: Callable[[object], object]
+    pair: bool = False
 
 
 def _same(value, *_):
@@ -67,7 +70,7 @@ def _same(value, *_):
 def _pair(metavar: str, make: Callable, echo: Callable) -> Argument:
     """A required ``--option A,B`` whose two integers are passed to ``make``."""
     return Argument({"required": True, "metavar": metavar},
-                    lambda text, flag: make(*_int_pair(text, flag)), echo)
+                    lambda text, flag: make(*_int_pair(text, flag)), echo, pair=True)
 
 
 # Library functions are called through this module's globals, never bound
@@ -253,7 +256,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one, since building it costs more than most commands; callers
+    must not change it."""
     parser = _Parser(
         prog="lensfib",
         description="Seifert fibrations of lens spaces, in exact arithmetic.",
@@ -267,11 +274,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PAIR_FLAGS = frozenset(flag for command in COMMANDS.values()
+                        for flag, argument in command.arguments.items() if argument.pair)
+
+
+def _join_signed_pairs(argv: list[str]) -> list[str]:
+    """Write ``--lens -7,2`` as ``--lens=-7,2``.
+
+    argparse takes ``-7,2`` for an unknown option, since it is not a plain
+    negative number, so a signed pair given as its own token is joined to
+    its flag.  Tokens after ``--`` are left alone.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in _PAIR_FLAGS and token[:1] == "-"
+                and token[1:2].isdigit() and "--" not in joined):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _fail(args: argparse.Namespace, message: str, code: int) -> int:
+    if args.json:
+        print(json.dumps({"command": args.command, "status": "error", "error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = argparse.Namespace()
     try:
-        parser.parse_args(argv, args)
+        parser.parse_args(_join_signed_pairs(argv), args)
     except _UsageError as exc:
         failed, message = exc.args
         if not getattr(args, "json", False):
@@ -288,17 +324,21 @@ def run(argv: list[str]) -> int:
             values[dest] = argument.read(getattr(args, dest), flag)
             echo[dest] = argument.echo(values[dest])
         payload = command.compute(**values)
-    except DomainError as exc:
         if args.json:
-            print(json.dumps({"command": args.command, "status": "error", "error": str(exc)}))
+            lines = [json.dumps({"command": args.command, "input": echo, "status": "ok",
+                                 **payload})]
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps({"command": args.command, "input": echo, "status": "ok", **payload}))
-    else:
-        for line in command.render(payload):
-            print(line)
+            lines = list(command.render(payload))
+    except DomainError as exc:
+        return _fail(args, str(exc), 1)
+    except Exception as exc:  # a fault of the program, not of its input
+        # The failed call's frames, kept by the traceback, may hold all the
+        # memory a MemoryError ran out of.
+        exc.__traceback__ = None
+        name, detail = type(exc).__name__, str(exc)
+        return _fail(args, f"{name}: {detail}" if detail else name, 3)
+    for line in lines:
+        print(line)
     return 0
 
 

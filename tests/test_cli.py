@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lensfib import parse, unparse
+from lensfib import cli, parse, unparse
 from lensfib.cli import run
 
 
@@ -171,6 +171,75 @@ def test_usage_error_json_envelope(capsys):
             run(argv)
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage: lensfib") and reason in err
+
+
+@pytest.mark.parametrize("argv, joined, code", [
+    (["construct", "--lens", "7,2", "--weights", "-3,2"],
+     ["construct", "--lens", "7,2", "--weights=-3,2"], 0),
+    (["--json", "construct", "--lens", "-7,2", "--weights", "3,2"],
+     ["--json", "construct", "--lens=-7,2", "--weights", "3,2"], 0),
+    (["model", "--lens", "7,2", "--weights", "-2,5"],
+     ["model", "--lens", "7,2", "--weights=-2,5"], 0),
+    (["--json", "classify", "--lens", "-2,1", "--pair", "-5,3"],
+     ["--json", "classify", "--lens=-2,1", "--pair=-5,3"], 1),
+])
+def test_signed_pair_token_reads_like_joined_form(capsys, argv, joined, code):
+    result = invoke(capsys, *argv)
+    assert result[0] == code
+    assert result == invoke(capsys, *joined)
+
+
+def test_signed_token_after_double_dash_is_positional(capsys):
+    code, _, err = invoke(capsys, "iso", "--", "--lens", "-7,2")
+    assert code == 1 and "expected 'M'" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def fail(fibration):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "recognize", cli.COMMANDS["recognize"]._replace(compute=fail))
+    assert invoke(capsys, "recognize", "M(0;)") == (3, "", "error: RuntimeError: boom\n")
+    code, out, err = invoke(capsys, "--json", "recognize", "M(0;)")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"command": "recognize", "status": "error",
+                               "error": "RuntimeError: boom"}
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    calls = [
+        ["construct", "--lens", "7,2", "--weights", "5,2"],
+        ["--json", "classify", "--lens", "2,1", "--pair", "5,3"],
+        ["recognize", "M(0;(2,1),(2,1),(2,1))"],
+        ["--json", "parse-check", "M(0;(4,2))"],
+        ["construct", "--lens", "7,2"],
+        ["--json", "enumerate", "--lens", "7,2", "--max-mult", "x"],
+        ["--json", "no-such-command"],
+        ["--help"],
+        ["homology", "--help"],
+        ["--json", "homology", "M(0;(35,-2),(14,1))"],
+    ]
+    counts, outputs = [], {}
+    for i in range(50):
+        argv = calls[i % len(calls)]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outputs.setdefault(i % len(calls), set()).add((code, *capsys.readouterr()))
+        counts.append(len(built))
+    assert counts == [counts[0]] * 50
+    # a reused parser gives every call the same result, usage and help included
+    assert all(len(seen) == 1 for seen in outputs.values())
+    assert [min(seen)[0] for seen in outputs.values()] == [0, 0, 1, 1, 2, 2, 2, 0, 0, 0]
 
 
 def test_bad_pair_syntax_is_domain_error(capsys):

@@ -44,6 +44,14 @@ def test_replay_is_identical(case, monkeypatch):
     assert replay(case["argv"]) == case
 
 
+def test_replay_forward_then_reverse_is_identical(monkeypatch):
+    # The parser is shared by every call in a process: no call may leave
+    # state in it that changes a later one.
+    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD", raising=False)
+    for case in CASES + CASES[::-1]:
+        assert replay(case["argv"]) == case
+
+
 if __name__ == "__main__":
     os.environ.pop("SEIFERT_MAX_INT_GUARD", None)
     CORPUS.write_text("".join(json.dumps(replay(c["argv"])) + "\n" for c in CASES))
