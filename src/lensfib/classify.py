@@ -40,11 +40,13 @@ from .construct import (
     gluing_choice,
 )
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
+from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented
 from .seifert import (
     CanonicalForm,
     SeifertFibration,
+    _canonical_form,
     fibration,
     normalize,
     reverse_canonical,
@@ -196,35 +198,44 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     p up to max_mult (trial division, no factoring), takes both weights up
     to max_mult // alpha, and lets a20 run only over the residue class of
     s*a10 modulo u.  A pair is built only when it is coprime and its u is
-    exactly this one, so each pair is built once, under its own alpha, and
-    the work is proportional to max_mult plus the pairs built.  The
+    exactly this one.  When q*q = 1 (mod p), exchanging the weights gives
+    the same class (e = b and a = c) with the same u, as s*s = 1 too, so
+    a20 runs only over |a20| <= a10.  Each class is thus built once, and the
+    work is proportional to max_mult plus the classes built.  The
     projective-plane fibration is added for L(4,1) and L(4,3).  For the
-    p = 0 space it is the family M(0; (alpha, beta), (alpha, -beta)).
+    p = 0 space it is the family M(0; (alpha, beta), (alpha, -beta)), where
+    beta and alpha - beta give one class.  The constructors check their
+    own output, so it is canonicalised without validating it again.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
+    # This also bounds the p = 0 pairs, which construct_s2xs1 does not check.
+    check_magnitude(max_mult)
     found: set[CanonicalForm] = set()
     if lens.p == 0:
-        # beta beyond [0, alpha) repeats classes, so this range is complete.
-        found.add(normalize(construct_s2xs1(1, 0)))
+        # beta, beta + alpha and alpha - beta give one class: 0 < beta <= alpha/2.
+        found.add(_canonical_form(0, construct_s2xs1(1, 0).pairs))
         for alpha in range(2, max_mult + 1):
-            for beta in range(1, alpha):
+            for beta in range(1, alpha // 2 + 1):
                 if gcd(alpha, beta) == 1:
-                    found.add(normalize(construct_s2xs1(alpha, beta)))
+                    found.add(_canonical_form(0, construct_s2xs1(alpha, beta).pairs))
         return sorted(found)
 
     p = lens.p
     _, s = gluing_choice(p, lens.q)
+    exchange = lens.q * lens.q % p == 1 % p
     for alpha in range(1, min(p, max_mult) + 1):
         if p % alpha:
             continue
         u, bound = p // alpha, max_mult // alpha
         for a10 in range(1, bound + 1):
-            # The least a20 >= -bound with a20 = s*a10 (mod u).
-            first = (s * a10 + bound) % u - bound
-            for a20 in range(first, bound + 1, u):
+            top = a10 if exchange else bound
+            # The least a20 >= -top with a20 = s*a10 (mod u).
+            first = (s * a10 + top) % u - top
+            for a20 in range(first, top + 1, u):
                 if a20 and gcd(a10, a20) == 1 and gcd(p, s * a10 - a20) == u:
-                    found.add(normalize(construct_fibration(lens, a10, a20).fibration))
+                    built = construct_fibration(lens, a10, a20).fibration
+                    found.add(_canonical_form(0, built.pairs))
     if lens_equal_oriented(lens, LensSpace(4, 1)):
         found.add(normalize(fibration(-1, (1, 1))))
     elif lens_equal_oriented(lens, LensSpace(4, 3)):

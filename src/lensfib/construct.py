@@ -85,7 +85,8 @@ class ModelWeights:
             raise NotCoprimeError(f"gcd({self.k1}, {self.k2}) != 1")
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived process does not grow with every lens it meets.
+@lru_cache(maxsize=4096)
 def gluing_choice(p: int, q: int) -> GluingChoice:
     """Deterministic (r, s): s the inverse of q mod p lifted to [0, p)."""
     if p < 1:

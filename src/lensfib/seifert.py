@@ -177,9 +177,14 @@ def normalize(f: SeifertFibration) -> CanonicalForm:
     multiplicity one are dropped, and the remainder is sorted.
     """
     validate(f)
+    return _canonical_form(f.genus, f.pairs)
+
+
+def _canonical_form(genus: int, pairs) -> CanonicalForm:
+    """The canonical form of pairs already known to pass :func:`validate`."""
     b = 0
     kept = []
-    for alpha, beta in f.pairs:
+    for alpha, beta in pairs:
         if alpha < 0:
             alpha, beta = -alpha, -beta
         q, r = divmod(beta, alpha)
@@ -187,7 +192,7 @@ def normalize(f: SeifertFibration) -> CanonicalForm:
         if alpha > 1:
             kept.append(SeifertPair(alpha, r))
     kept.sort()
-    return CanonicalForm(f.genus, b, tuple(kept))
+    return CanonicalForm(genus, b, tuple(kept))
 
 
 def reverse_orientation(f: SeifertFibration) -> SeifertFibration:

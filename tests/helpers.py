@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from itertools import permutations
 from math import gcd
 
@@ -99,3 +101,22 @@ def apply_random_moves(rng, f: SeifertFibration, count: int, max_pairs: int = 8)
     for _ in range(count):
         f = apply_move(f, random_move(rng, f, max_pairs))
     return f
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a call that runs past ``seconds`` into a failure, not a hang."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

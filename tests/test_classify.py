@@ -1,5 +1,5 @@
 import pytest
-from helpers import lens_parameters
+from helpers import deadline, lens_parameters
 
 from lensfib import classify as classify_mod
 from lensfib import (
@@ -8,8 +8,10 @@ from lensfib import (
     IsoType,
     LensSpace,
     NotCoprimeError,
+    OverflowLimitError,
     classify_pair,
     construct_fibration,
+    construct_s2xs1,
     enumerate_fibrations,
     fibration,
     isomorphism_type,
@@ -205,3 +207,30 @@ def test_enumerate_cost_is_output_sensitive(monkeypatch):
     monkeypatch.setattr(classify_mod, "construct_fibration", counting)
     assert enumerate_fibrations(lens, bound) == expected
     assert 0 < len(calls) <= 2 * bound
+
+
+def test_enumerate_builds_each_class_once(monkeypatch):
+    """Exchanging the weights when q*q = 1 (mod p), and beta -> alpha - beta
+    on L(0,1), give the same class, so the sweeps skip one of each pair and
+    every genus-0 class comes from exactly one construction."""
+    calls = []
+
+    def counting(construct):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return construct(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(classify_mod, "construct_fibration", counting(construct_fibration))
+    monkeypatch.setattr(classify_mod, "construct_s2xs1", counting(construct_s2xs1))
+    lenses = [LensSpace(0, 1)] + [LensSpace(p, q) for p, q in lens_parameters(30)]
+    for lens in lenses:
+        calls.clear()
+        got = enumerate_fibrations(lens, 12)
+        assert len(calls) == sum(1 for cf in got if cf.genus == 0), lens
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (4, 1), (97, 5)])
+def test_enumerate_checks_max_mult_against_guard_first(p, q):
+    with deadline(2), pytest.raises(OverflowLimitError, match="integer guard"):
+        enumerate_fibrations(LensSpace(p, q), 2**62 + 1)

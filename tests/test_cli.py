@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import deadline
 
 from lensfib import cli, parse, unparse
 from lensfib.cli import run
@@ -255,6 +256,19 @@ def test_env_guard(capsys, monkeypatch):
     monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
     code, _, _ = invoke(capsys, "construct", "--lens", "47,13", "--weights", "11,7")
     assert code == 0
+
+
+@pytest.mark.parametrize("lens", ["0,1", "1,0", "4,1", "97,5"])
+def test_enumerate_max_mult_beyond_guard(capsys, lens):
+    argv = ("enumerate", f"--lens={lens}", f"--max-mult={2**62 + 1}")
+    message = f"|{2**62 + 1}| exceeds the integer guard {2**62}"
+    with deadline(2):
+        code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    with deadline(2):
+        code, out, err = invoke(capsys, "--json", *argv)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"command": "enumerate", "status": "error", "error": message}
 
 
 BAD_GUARD_ENVELOPE = {

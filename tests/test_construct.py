@@ -49,6 +49,15 @@ def test_gluing_choice_determinant():
         assert 0 <= s < p or p == 1
 
 
+def test_gluing_choice_cache_is_bounded():
+    """A process that meets many lenses keeps at most 4096 cached choices,
+    enough for every lens with p <= 60."""
+    assert sum(1 for _ in lens_parameters(60)) <= 4096
+    for p in range(100_003, 105_003):
+        gluing_choice(p, 1)
+    assert gluing_choice.cache_info().currsize <= 4096
+
+
 def test_construct_paper_examples():
     cases = [
         ((7, 2), (5, 2), "M(0;(35,-2),(14,1))"),
