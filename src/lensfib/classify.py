@@ -42,11 +42,10 @@ from .construct import (
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
 from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
-from .recognize import LensSpace, lens_equal_oriented
+from .recognize import LensSpace, lens_equal_oriented, recognize
 from .seifert import (
     CanonicalForm,
     SeifertFibration,
-    _canonical_form,
     fibration,
     normalize,
     reverse_canonical,
@@ -204,21 +203,21 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     work is proportional to max_mult plus the classes built.  The
     projective-plane fibration is added for L(4,1) and L(4,3).  For the
     p = 0 space it is the family M(0; (alpha, beta), (alpha, -beta)), where
-    beta and alpha - beta give one class.  The constructors check their
-    own output, so it is canonicalised without validating it again.
+    beta and alpha - beta give one class.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
-    # This also bounds the p = 0 pairs, which construct_s2xs1 does not check.
+    # Checked up front: every built list is checked too, but a sweep towards
+    # a huge bound would run practically forever before one fails the guard.
     check_magnitude(max_mult)
     found: set[CanonicalForm] = set()
     if lens.p == 0:
         # beta, beta + alpha and alpha - beta give one class: 0 < beta <= alpha/2.
-        found.add(_canonical_form(0, construct_s2xs1(1, 0).pairs))
+        found.add(normalize(construct_s2xs1(1, 0)))
         for alpha in range(2, max_mult + 1):
             for beta in range(1, alpha // 2 + 1):
                 if gcd(alpha, beta) == 1:
-                    found.add(_canonical_form(0, construct_s2xs1(alpha, beta).pairs))
+                    found.add(normalize(construct_s2xs1(alpha, beta)))
         return sorted(found)
 
     p = lens.p
@@ -235,9 +234,8 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
             for a20 in range(first, top + 1, u):
                 if a20 and gcd(a10, a20) == 1 and gcd(p, s * a10 - a20) == u:
                     built = construct_fibration(lens, a10, a20).fibration
-                    found.add(_canonical_form(0, built.pairs))
-    if lens_equal_oriented(lens, LensSpace(4, 1)):
-        found.add(normalize(fibration(-1, (1, 1))))
-    elif lens_equal_oriented(lens, LensSpace(4, 3)):
-        found.add(normalize(fibration(-1, (1, -1))))
+                    found.add(normalize(built))
+    for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
+        if lens_equal_oriented(recognize(projective), lens):
+            found.add(normalize(projective))
     return sorted(found)

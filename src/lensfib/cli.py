@@ -38,7 +38,6 @@ from .seifert import (
     normalize,
     parse,
     unparse,
-    validate,
 )
 
 
@@ -145,12 +144,6 @@ def _pi1(fibration) -> dict:
     }}
 
 
-def _parse_check(fibration: str) -> dict:
-    fib = parse(fibration)
-    validate(fib)
-    return {"result": {"fibration": unparse(fib)}}
-
-
 def _render_fibration(payload: dict) -> Iterable[str]:
     result = payload["result"]
     yield f"fibration {result['fibration']['text']}"
@@ -243,7 +236,8 @@ COMMANDS: dict[str, Command] = {
                          or "trivial"]),
     "parse-check": Command(
         "validate invariant-list text", {"fibration": _TEXT},
-        _parse_check, lambda payload: ["ok"]),
+        lambda fibration: {"result": {"fibration": unparse(parse(fibration))}},
+        lambda payload: ["ok"]),
 }
 
 

@@ -189,8 +189,6 @@ def model_fibration(lens: LensSpace, weights: ModelWeights) -> SeifertFibration:
 
 def isotropy_order(lens: LensSpace, weights: ModelWeights) -> int:
     """Order of the deck-transformation subgroup preserving a regular fibre."""
-    if lens.p < 1:
-        raise InvalidRangeError(f"p must be >= 1, got {lens.p}")
     _, s = gluing_choice(lens.p, lens.q)
     return gcd(lens.p, s * weights.k2 - weights.k1)
 

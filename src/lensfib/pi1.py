@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact_arith import smith_normal_form
-from .seifert import SeifertFibration, validate
+from .seifert import SeifertFibration
 
 Word = tuple[tuple[str, int], ...]
 
@@ -49,7 +49,6 @@ def _commutator(x: str, y: str) -> Word:
 
 def presentation(f: SeifertFibration) -> GroupPresentation:
     """The standard presentation of the fundamental group of the total space."""
-    validate(f)
     g = f.genus
     n = len(f.pairs)
     qs = tuple(f"q{i + 1}" for i in range(n))
@@ -87,7 +86,6 @@ def abelianized_relations(f: SeifertFibration) -> tuple[int, list[list[int]]]:
     q_1..q_n, then h.  Commutator relators vanish and are omitted; for a
     non-orientable base each crosscap relation abelianises to 2h = 0.
     """
-    validate(f)
     g = f.genus
     n = len(f.pairs)
     nsurface = 2 * g if g >= 0 else -g
@@ -152,6 +150,5 @@ class BaseOrbifold(NamedTuple):
 
 def base_orbifold(f: SeifertFibration) -> BaseOrbifold:
     """Base surface plus cone orders {|alpha| : |alpha| >= 2}, sorted."""
-    validate(f)
     orders = sorted(abs(a) for a, _ in f.pairs if abs(a) >= 2)
     return BaseOrbifold(f.genus, tuple(orders))

@@ -25,7 +25,7 @@ from .errors import (
     NotLensSpaceReason,
 )
 from .exact_arith import mod_inverse, unimodular_complement
-from .seifert import SeifertFibration, SeifertPair, normalize, validate
+from .seifert import SeifertFibration, SeifertPair, normalize
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +70,6 @@ def recognize(f: SeifertFibration) -> LensSpace:
     is invariant under all equivalence moves; among the two equivalent
     residues q and q^-1 (mod p) the smaller one is returned.
     """
-    validate(f)
     if f.genus == 0:
         cf = normalize(f)
         if len(cf.pairs) > 2:

@@ -10,6 +10,11 @@ multiples of their alphas with total shift zero, and negating both entries
 of a pair.  Replacing every beta by its negative yields the orientation
 reversal.
 
+An invariant list is checked when it is built: ``SeifertFibration`` calls
+:func:`validate`, so ``parse`` raises ``NotCoprimePairError`` or
+``ZeroAlphaError`` on a bad pair and nothing that takes a list checks it
+again.  It takes ``SeifertPair``s; :func:`fibration` takes plain tuples.
+
 Normalising (all alphas positive, betas reduced into [0, alpha), multiplicity
 one pairs folded into a single integer ``b``, pairs sorted) produces a unique
 fingerprint per isomorphism class, which is how isomorphism is decided here.
@@ -49,9 +54,7 @@ class SeifertFibration:
     pairs: tuple[SeifertPair, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple(SeifertPair(a, b) for a, b in self.pairs)
-        )
+        validate(self)
 
     def __str__(self) -> str:
         return unparse(self)
@@ -118,7 +121,8 @@ Move = Union[Permute, InsertTrivial, DeleteTrivial, ShiftBetas, FlipSigns]
 
 
 def validate(f: SeifertFibration) -> None:
-    """Check the type invariants, raising on the first violation."""
+    """Check the type invariants, raising on the first violation; every
+    ``SeifertFibration`` is checked by this when it is built."""
     for i, (alpha, beta) in enumerate(f.pairs):
         if alpha == 0:
             raise ZeroAlphaError(f"pair {i} has alpha = 0")
@@ -176,15 +180,9 @@ def normalize(f: SeifertFibration) -> CanonicalForm:
     modulo its alpha with the quotients accumulated into ``b``, pairs of
     multiplicity one are dropped, and the remainder is sorted.
     """
-    validate(f)
-    return _canonical_form(f.genus, f.pairs)
-
-
-def _canonical_form(genus: int, pairs) -> CanonicalForm:
-    """The canonical form of pairs already known to pass :func:`validate`."""
     b = 0
     kept = []
-    for alpha, beta in pairs:
+    for alpha, beta in f.pairs:
         if alpha < 0:
             alpha, beta = -alpha, -beta
         q, r = divmod(beta, alpha)
@@ -192,7 +190,7 @@ def _canonical_form(genus: int, pairs) -> CanonicalForm:
         if alpha > 1:
             kept.append(SeifertPair(alpha, r))
     kept.sort()
-    return CanonicalForm(genus, b, tuple(kept))
+    return CanonicalForm(f.genus, b, tuple(kept))
 
 
 def reverse_orientation(f: SeifertFibration) -> SeifertFibration:
@@ -212,7 +210,6 @@ def reverse_canonical(cf: CanonicalForm) -> CanonicalForm:
 
 def euler_number(f: SeifertFibration) -> Fraction:
     """-sum(beta_i / alpha_i), a move-invariant rational."""
-    validate(f)
     total = Fraction(0)
     for alpha, beta in f.pairs:
         total += Fraction(beta, alpha)

@@ -142,6 +142,19 @@ def test_parse_check(capsys):
     assert code == 1 and "coprime" in err
 
 
+def test_positional_fibration_is_checked_when_read(capsys):
+    # The first argument fails its check before the second is parsed.
+    argv = ("iso", "M(0;(4,2))", "M(0;(3,1)")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: pair 0 = (4, 2) is not coprime\n"
+    code, out, err = invoke(capsys, "--json", *argv)
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"command": "iso", "status": "error",
+                               "error": "pair 0 = (4, 2) is not coprime"}
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["construct", "--lens", "7,2"])

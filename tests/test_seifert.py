@@ -13,7 +13,9 @@ from lensfib import (
     InsertTrivial,
     IsoType,
     NotCoprimePairError,
+    OverflowLimitError,
     Permute,
+    SeifertFibration,
     SeifertPair,
     ShiftBetas,
     ZeroAlphaError,
@@ -27,6 +29,7 @@ from lensfib import (
     unparse,
     validate,
 )
+from lensfib.construct import construct_s2xs1, s3_fibration
 from lensfib.seifert import reverse_canonical
 
 
@@ -39,6 +42,22 @@ def test_validate():
     with pytest.raises(ZeroAlphaError):
         # first violation wins
         validate(fibration(0, (3, 1), (0, 1), (4, 2)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: SeifertFibration(0, (SeifertPair(4, 2),)), NotCoprimePairError),
+    (lambda: fibration(0, (0, 1)), ZeroAlphaError),
+    (lambda: parse("M(0;(4,2))"), NotCoprimePairError),
+    (lambda: apply_move(fibration(0, (3, 1), (5, 2)), ShiftBetas((2**61, -2**61))),
+     OverflowLimitError),
+    (lambda: CanonicalForm(0, 2**70, ()).expand(), OverflowLimitError),
+    (lambda: construct_s2xs1(2**70, 1), OverflowLimitError),
+    (lambda: s3_fibration(2**70 + 1, 2**70), OverflowLimitError),
+], ids=["constructor", "fibration", "parse", "apply_move", "expand",
+        "construct_s2xs1", "s3_fibration"])
+def test_every_constructor_checks_its_list(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_apply_move_examples():
