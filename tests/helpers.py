@@ -16,6 +16,12 @@ from lensfib import (
     SeifertPair,
     ShiftBetas,
     apply_move,
+    construct_fibration,
+    construct_s2xs1,
+    fibration,
+    lens_equal_oriented,
+    normalize,
+    recognize,
 )
 
 
@@ -52,6 +58,32 @@ def lens_parameters(p_max: int):
         for q in range(p == 1 and 0 or 1, p or 1):
             if gcd(p, q) == 1:
                 yield p, q
+
+
+def enumerate_by_construction(lens, max_mult: int) -> set:
+    """The classes of ``lens`` with multiplicities <= max_mult, built through
+    the public constructors alone: every coprime weight pair (a10, a20) with
+    1 <= a10, |a20| <= max_mult for p >= 1, every coprime (alpha, beta) with
+    0 <= beta < alpha <= max_mult for p = 0, and the projective-plane lists
+    that ``recognize`` puts on ``lens``.  No divisor, residue or exchange
+    pruning, so it checks the sweep of ``enumerate_fibrations``."""
+    found = set()
+    if lens.p == 0:
+        for alpha in range(1, max_mult + 1):
+            for beta in range(alpha):
+                if gcd(alpha, beta) == 1:
+                    found.add(normalize(construct_s2xs1(alpha, beta)))
+    else:
+        for a10 in range(1, max_mult + 1):
+            for a20 in range(-max_mult, max_mult + 1):
+                if a20 and gcd(a10, a20) == 1:
+                    cf = normalize(construct_fibration(lens, a10, a20).fibration)
+                    if all(alpha <= max_mult for alpha, _ in cf.pairs):
+                        found.add(cf)
+    for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
+        if lens_equal_oriented(recognize(projective), lens):
+            found.add(normalize(projective))
+    return found
 
 
 def random_pair(rng, alpha_max: int = 9) -> SeifertPair:

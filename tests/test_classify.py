@@ -1,5 +1,5 @@
 import pytest
-from helpers import deadline, lens_parameters
+from helpers import deadline, enumerate_by_construction, lens_parameters
 
 from lensfib import classify as classify_mod
 from lensfib import (
@@ -228,6 +228,24 @@ def test_enumerate_builds_each_class_once(monkeypatch):
         calls.clear()
         got = enumerate_fibrations(lens, 12)
         assert len(calls) == sum(1 for cf in got if cf.genus == 0), lens
+
+
+@pytest.mark.parametrize(
+    "lenses, max_mult",
+    [
+        ([(0, 1)] + list(lens_parameters(30)), 12),
+        # 49*49 = 1 (mod 120), so the exchange pruning applies there.
+        ([(97, 5), (120, 49), (1, 0)], 30),
+    ],
+    ids=["every-p-to-30", "larger-lenses"],
+)
+def test_enumerate_equals_constructor_sweep(lenses, max_mult):
+    """The pruned sweep gives exactly what building every weight pair with
+    the public constructors gives."""
+    for p, q in lenses:
+        lens = LensSpace(p, q)
+        expected = sorted(enumerate_by_construction(lens, max_mult))
+        assert enumerate_fibrations(lens, max_mult) == expected, lens
 
 
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (4, 1), (97, 5)])
