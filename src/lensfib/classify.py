@@ -33,12 +33,7 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .construct import (
-    Construction,
-    construct_fibration,
-    construct_s2xs1,
-    gluing_choice,
-)
+from .construct import Construction, _recipe, construct_fibration, gluing_choice
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
 from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
@@ -46,6 +41,7 @@ from .recognize import LensSpace, lens_equal_oriented, recognize
 from .seifert import (
     CanonicalForm,
     SeifertFibration,
+    _canonical_form,
     fibration,
     normalize,
     reverse_canonical,
@@ -196,14 +192,16 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     u = gcd(p, s*a10 - a20).  So the sweep runs over the divisors alpha of
     p up to max_mult (trial division, no factoring), takes both weights up
     to max_mult // alpha, and lets a20 run only over the residue class of
-    s*a10 modulo u.  A pair is built only when it is coprime and its u is
-    exactly this one.  When q*q = 1 (mod p), exchanging the weights gives
-    the same class (e = b and a = c) with the same u, as s*s = 1 too, so
-    a20 runs only over |a20| <= a10.  Each class is thus built once, and the
-    work is proportional to max_mult plus the classes built.  The
-    projective-plane fibration is added for L(4,1) and L(4,3).  For the
-    p = 0 space it is the family M(0; (alpha, beta), (alpha, -beta)), where
-    beta and alpha - beta give one class.
+    s*a10 modulo u.  Each admissible pair, coprime and with exactly this u,
+    goes through the integer recipe once and is canonicalised straight from
+    its two pairs, with the same checks as ``construct_fibration``.  When
+    q*q = 1 (mod p), exchanging the weights gives the same class (e = b and
+    a = c) with the same u, as s*s = 1 too, so a20 runs only over
+    |a20| <= a10.  Each class is thus computed once, and the work is
+    proportional to max_mult plus the classes found.  The projective-plane
+    fibration is added for L(4,1) and L(4,3).  For the p = 0 space it is the
+    family M(0; (alpha, beta), (alpha, -beta)), where beta and alpha - beta
+    give one class.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
@@ -213,11 +211,11 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     found: set[CanonicalForm] = set()
     if lens.p == 0:
         # beta, beta + alpha and alpha - beta give one class: 0 < beta <= alpha/2.
-        found.add(normalize(construct_s2xs1(1, 0)))
+        found.add(_canonical_form(0, ((1, 0), (1, 0))))
         for alpha in range(2, max_mult + 1):
             for beta in range(1, alpha // 2 + 1):
                 if gcd(alpha, beta) == 1:
-                    found.add(normalize(construct_s2xs1(alpha, beta)))
+                    found.add(_canonical_form(0, ((alpha, beta), (alpha, -beta))))
         return sorted(found)
 
     p = lens.p
@@ -233,8 +231,8 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
             first = (s * a10 + top) % u - top
             for a20 in range(first, top + 1, u):
                 if a20 and gcd(a10, a20) == 1 and gcd(p, s * a10 - a20) == u:
-                    built = construct_fibration(lens, a10, a20).fibration
-                    found.add(normalize(built))
+                    _, _, alpha1, alpha2, _, beta1, _, beta2 = _recipe(p, s, a10, a20)
+                    found.add(_canonical_form(0, ((alpha1, beta1), (alpha2, beta2))))
     for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
         if lens_equal_oriented(recognize(projective), lens):
             found.add(normalize(projective))

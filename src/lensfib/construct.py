@@ -20,8 +20,7 @@ The same calculus covers the quotient models: the circle action
 (z1, z2) -> (e^(i*k1*t) z1, e^(i*k2*t) z2) on the 3-sphere descends to
 L(p, q), and its Seifert invariants are obtained by running the recipe with
 weights (k2, k1).  The number of deck transformations preserving a regular
-fibre is u = gcd(p, s*k2 - k1), which the lattice-counting oracle here
-verifies by direct enumeration.
+fibre is u = gcd(p, s*k2 - k1).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from typing import NamedTuple
 from .errors import (
     InvalidRangeError,
     NotCoprimeError,
+    NotCoprimePairError,
     ZeroWeightError,
 )
 from .exact_arith import (
@@ -99,6 +99,31 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     return GluingChoice(r, s)
 
 
+def _recipe(p: int, s: int, a10: int, a20: int, beta_shift: int = 0):
+    """The recipe's integers (u, alpha, alpha1, alpha2, alpha1', beta1,
+    beta1', beta2) for p >= 1, q*s = 1 (mod p) and coprime non-zero weights,
+    with every check ``construct_fibration`` and ``validate`` make on them."""
+    d = s * a10 - a20
+    u = gcd(p, d)
+    alpha = p // u
+    alpha1 = alpha * a10
+    alpha2 = alpha * a20
+    alpha1_prime = d // u
+    beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
+    beta1 += beta_shift * alpha1
+    beta1_prime += beta_shift * alpha1_prime
+    beta2 = -s * beta1 + p * beta1_prime
+
+    assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
+    check_magnitude(alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2)
+    # Raised, not asserted: ``python -O`` keeps it, as it keeps ``validate``.
+    if gcd(alpha1, beta1) != 1:
+        raise NotCoprimePairError(f"pair 0 = ({alpha1}, {beta1}) is not coprime")
+    if gcd(alpha2, beta2) != 1:
+        raise NotCoprimePairError(f"pair 1 = ({alpha2}, {beta2}) is not coprime")
+    return u, alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2
+
+
 def construct_fibration(
     lens: LensSpace,
     a10: int,
@@ -127,29 +152,9 @@ def construct_fibration(
     r, s = gluing_choice(p, q)
     s += s_shift * p
     r -= s_shift * q
-
-    d = s * a10 - a20
-    u = gcd(p, d)
-    alpha = p // u
-    alpha1 = alpha * a10
-    alpha2 = alpha * a20
-    alpha1_prime = d // u
-    beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
-    beta1 += beta_shift * alpha1
-    beta1_prime += beta_shift * alpha1_prime
-    beta2 = -s * beta1 + p * beta1_prime
-
-    assert gcd(alpha2, beta2) == 1, (lens, a10, a20)
-    assert alpha1 * beta2 + beta1 * alpha2 == p, (lens, a10, a20)
-    check_magnitude(alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2)
-
-    trace = ConstructionTrace(
-        u, alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2,
-        GluingChoice(r, s),
-    )
-    fib = SeifertFibration(
-        0, (SeifertPair(alpha1, beta1), SeifertPair(alpha2, beta2))
-    )
+    trace = ConstructionTrace(*_recipe(p, s, a10, a20, beta_shift), GluingChoice(r, s))
+    fib = SeifertFibration(0, (SeifertPair(trace.alpha1, trace.beta1),
+                               SeifertPair(trace.alpha2, trace.beta2)))
     return Construction(fib, trace)
 
 
@@ -191,16 +196,3 @@ def isotropy_order(lens: LensSpace, weights: ModelWeights) -> int:
     """Order of the deck-transformation subgroup preserving a regular fibre."""
     _, s = gluing_choice(lens.p, lens.q)
     return gcd(lens.p, s * weights.k2 - weights.k1)
-
-
-def isotropy_order_oracle(lens: LensSpace, weights: ModelWeights) -> int:
-    """Independent count of the same order by lattice enumeration.
-
-    The translates of a point on a regular fibre land back on the fibre's
-    lifts exactly when p divides l*(q*k1 - k2); count those l in 1..p.
-    """
-    if lens.p < 1:
-        raise InvalidRangeError(f"p must be >= 1, got {lens.p}")
-    p, q = lens.p, lens.q
-    d = q * weights.k1 - weights.k2
-    return sum(1 for l in range(1, p + 1) if (l * d) % p == 0)

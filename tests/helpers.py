@@ -11,6 +11,7 @@ from lensfib import (
     DeleteTrivial,
     FlipSigns,
     InsertTrivial,
+    InvalidRangeError,
     Permute,
     SeifertFibration,
     SeifertPair,
@@ -84,6 +85,19 @@ def enumerate_by_construction(lens, max_mult: int) -> set:
         if lens_equal_oriented(recognize(projective), lens):
             found.add(normalize(projective))
     return found
+
+
+def isotropy_order_oracle(lens, weights) -> int:
+    """Independent count of ``isotropy_order`` by lattice enumeration.
+
+    The translates of a point on a regular fibre land back on the fibre's
+    lifts exactly when p divides l*(q*k1 - k2); count those l in 1..p.
+    """
+    if lens.p < 1:
+        raise InvalidRangeError(f"p must be >= 1, got {lens.p}")
+    p, q = lens.p, lens.q
+    d = q * weights.k1 - weights.k2
+    return sum(1 for l in range(1, p + 1) if (l * d) % p == 0)
 
 
 def random_pair(rng, alpha_max: int = 9) -> SeifertPair:

@@ -9,7 +9,7 @@ import random
 from math import gcd
 
 import pytest
-from helpers import apply_random_moves, coprime_pairs, lens_parameters
+from helpers import apply_random_moves, coprime_pairs, isotropy_order_oracle, lens_parameters
 
 from lensfib import (
     CanonicalForm,
@@ -24,7 +24,6 @@ from lensfib import (
     first_homology,
     gluing_choice,
     isotropy_order,
-    isotropy_order_oracle,
     lens_equal_oriented,
     normalize,
     parse,

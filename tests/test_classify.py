@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from helpers import deadline, enumerate_by_construction, lens_parameters
 
@@ -10,8 +13,6 @@ from lensfib import (
     NotCoprimeError,
     OverflowLimitError,
     classify_pair,
-    construct_fibration,
-    construct_s2xs1,
     enumerate_fibrations,
     fibration,
     isomorphism_type,
@@ -195,16 +196,17 @@ def test_enumerate_respects_bound_and_determinism():
 
 def test_enumerate_cost_is_output_sensitive(monkeypatch):
     """For a prime p > N only alpha = 1 divides p, and a20 is pinned to one
-    residue class modulo p, so at most 2N constructions are made."""
+    residue class modulo p, so the recipe runs at most 2N times."""
     lens, bound = LensSpace(1009, 400), 100
     expected = enumerate_fibrations(lens, bound)
     calls = []
+    recipe = classify_mod._recipe
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return construct_fibration(*args, **kwargs)
+        return recipe(*args, **kwargs)
 
-    monkeypatch.setattr(classify_mod, "construct_fibration", counting)
+    monkeypatch.setattr(classify_mod, "_recipe", counting)
     assert enumerate_fibrations(lens, bound) == expected
     assert 0 < len(calls) <= 2 * bound
 
@@ -212,17 +214,15 @@ def test_enumerate_cost_is_output_sensitive(monkeypatch):
 def test_enumerate_builds_each_class_once(monkeypatch):
     """Exchanging the weights when q*q = 1 (mod p), and beta -> alpha - beta
     on L(0,1), give the same class, so the sweeps skip one of each pair and
-    every genus-0 class comes from exactly one construction."""
+    every genus-0 class is canonicalised exactly once."""
     calls = []
+    canonical_form = classify_mod._canonical_form
 
-    def counting(construct):
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return construct(*args, **kwargs)
-        return counted
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return canonical_form(*args, **kwargs)
 
-    monkeypatch.setattr(classify_mod, "construct_fibration", counting(construct_fibration))
-    monkeypatch.setattr(classify_mod, "construct_s2xs1", counting(construct_s2xs1))
+    monkeypatch.setattr(classify_mod, "_canonical_form", counting)
     lenses = [LensSpace(0, 1)] + [LensSpace(p, q) for p, q in lens_parameters(30)]
     for lens in lenses:
         calls.clear()
@@ -246,6 +246,32 @@ def test_enumerate_equals_constructor_sweep(lenses, max_mult):
         lens = LensSpace(p, q)
         expected = sorted(enumerate_by_construction(lens, max_mult))
         assert enumerate_fibrations(lens, max_mult) == expected, lens
+
+
+SWEEP_WITH_BROKEN_COMPLEMENT = """
+import lensfib.construct
+from lensfib import LensSpace, NotCoprimePairError, construct_fibration, enumerate_fibrations
+lensfib.construct.unimodular_complement = lambda a, b: (0, 0)
+for call in (lambda: enumerate_fibrations(LensSpace(7, 2), 5),
+             lambda: construct_fibration(LensSpace(7, 2), 5, 2)):
+    try:
+        call()
+    except NotCoprimePairError as exc:
+        print(exc)
+"""
+
+
+def test_non_coprime_output_pair_raises_without_asserts():
+    """A complement that breaks the recipe's identity is still caught under
+    ``python -O``, which strips the identity's assert."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SWEEP_WITH_BROKEN_COMPLEMENT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["pair 1 = (-3, 0) is not coprime",
+                                        "pair 0 = (35, 0) is not coprime"]
 
 
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (4, 1), (97, 5)])

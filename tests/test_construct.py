@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from helpers import coprime_pairs, lens_parameters
+from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters
 
 from lensfib import (
     GluingChoice,
@@ -16,7 +16,6 @@ from lensfib import (
     fibration,
     gluing_choice,
     isotropy_order,
-    isotropy_order_oracle,
     lens_equal_oriented,
     model_fibration,
     normalize,
