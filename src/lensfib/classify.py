@@ -205,8 +205,9 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
-    # Checked up front: every built list is checked too, but a sweep towards
-    # a huge bound would run practically forever before one fails the guard.
+    # Checked up front: it bounds every value of the p = 0 sweep, and although
+    # the recipe checks its own values, a sweep towards a huge bound would
+    # run practically forever before one fails the guard.
     check_magnitude(max_mult)
     found: set[CanonicalForm] = set()
     if lens.p == 0:
