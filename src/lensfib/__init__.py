@@ -7,156 +7,52 @@ prescribed singular-fibre weights, with fundamental-group and homology
 cross-checks.  All arithmetic is exact.
 """
 
-from .classify import (
-    CasePrediction,
-    CaseTag,
-    ClassEntry,
-    ClassificationReport,
-    VariantSet,
-    classify_pair,
-    enumerate_fibrations,
-    predicted_case,
-    variants,
-)
-from .construct import (
-    Construction,
-    ConstructionTrace,
-    GluingChoice,
-    ModelWeights,
-    construct_fibration,
-    construct_s2xs1,
-    gluing_choice,
-    isotropy_order,
-    model_fibration,
-    s3_fibration,
-)
+from .classify import CaseTag, classify_pair, enumerate_fibrations
+from .construct import ConstructionTrace, construct_fibration
 from .errors import (
     DomainError,
-    FibrationParseError,
-    InapplicableMoveError,
     InvalidRangeError,
-    NotCoprimeError,
     NotCoprimePairError,
-    NotLensSpaceError,
-    NotLensSpaceReason,
     OverflowLimitError,
-    PredictionMismatchError,
     ZeroAlphaError,
-    ZeroWeightError,
 )
-from .exact_arith import (
-    ext_gcd,
-    int_limit,
-    mod_inverse,
-    set_int_limit,
-    smith_normal_form,
-    unimodular_complement,
-)
-from .pi1 import (
-    BaseOrbifold,
-    GroupPresentation,
-    base_orbifold,
-    first_homology,
-    presentation,
-)
-from .recognize import (
-    LensSpace,
-    lens_equal_oriented,
-    lens_equal_unoriented,
-    lens_normalize,
-    lens_reverse,
-    recognize,
-)
+from .exact_arith import refresh_int_limit
+from .pi1 import first_homology
+from .recognize import LensSpace, lens_equal_oriented, lens_equal_unoriented, recognize
 from .seifert import (
     CanonicalForm,
-    DeleteTrivial,
-    FlipSigns,
-    InsertTrivial,
-    IsoType,
-    Move,
-    Permute,
     SeifertFibration,
     SeifertPair,
-    ShiftBetas,
-    apply_move,
-    euler_number,
     fibration,
-    isomorphism_type,
     normalize,
     parse,
-    reverse_orientation,
     unparse,
-    validate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseOrbifold",
     "CanonicalForm",
-    "CasePrediction",
     "CaseTag",
-    "ClassEntry",
-    "ClassificationReport",
-    "Construction",
     "ConstructionTrace",
-    "DeleteTrivial",
     "DomainError",
-    "FibrationParseError",
-    "FlipSigns",
-    "GluingChoice",
-    "GroupPresentation",
-    "InapplicableMoveError",
-    "InsertTrivial",
     "InvalidRangeError",
-    "IsoType",
     "LensSpace",
-    "ModelWeights",
-    "Move",
-    "NotCoprimeError",
     "NotCoprimePairError",
-    "NotLensSpaceError",
-    "NotLensSpaceReason",
     "OverflowLimitError",
-    "Permute",
-    "PredictionMismatchError",
     "SeifertFibration",
     "SeifertPair",
-    "ShiftBetas",
-    "VariantSet",
     "ZeroAlphaError",
-    "ZeroWeightError",
-    "apply_move",
-    "base_orbifold",
     "classify_pair",
     "construct_fibration",
-    "construct_s2xs1",
     "enumerate_fibrations",
-    "euler_number",
-    "ext_gcd",
     "fibration",
     "first_homology",
-    "gluing_choice",
-    "int_limit",
-    "isomorphism_type",
-    "isotropy_order",
     "lens_equal_oriented",
     "lens_equal_unoriented",
-    "lens_normalize",
-    "lens_reverse",
-    "mod_inverse",
-    "model_fibration",
     "normalize",
     "parse",
-    "predicted_case",
-    "presentation",
     "recognize",
-    "reverse_orientation",
-    "s3_fibration",
-    "set_int_limit",
-    "smith_normal_form",
-    "unimodular_complement",
+    "refresh_int_limit",
     "unparse",
-    "validate",
-    "variants",
 ]

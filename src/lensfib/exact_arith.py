@@ -44,13 +44,6 @@ def int_limit() -> int:
     return _int_limit
 
 
-def set_int_limit(limit: int) -> None:
-    if limit < 1:
-        raise InvalidRangeError(f"integer guard must be positive, got {limit}")
-    global _int_limit
-    _int_limit = limit
-
-
 def refresh_int_limit() -> int:
     """Re-read the guard threshold from the environment (used by the CLI)."""
     global _int_limit

@@ -12,9 +12,10 @@ and for g < 0 (non-orientable base, |g| crosscaps)
     < a_1, ..., a_|g|, q_1, ..., q_n, h |
       a_j^-1 h a_j h, [h, q_i], q_i^{a_i} h^{b_i}, q_1...q_n a_1^2...a_|g|^2 >.
 
-Abelianising and taking Smith invariant factors gives first homology; for a
-lens-space fibration this recovers |H_1| = p independently of the gluing
-determinants used by recognition, which makes it a useful cross-check.
+First homology is this presentation abelianised: one row of exponent sums
+per relator, with the Smith invariant factors read off.  For a lens-space
+fibration this recovers |H_1| = p independently of the gluing determinants
+used by recognition, which makes it a useful cross-check.
 """
 
 from __future__ import annotations
@@ -79,46 +80,24 @@ def presentation(f: SeifertFibration) -> GroupPresentation:
     return GroupPresentation(gens, tuple(relators))
 
 
-def abelianized_relations(f: SeifertFibration) -> tuple[int, list[list[int]]]:
-    """Generator count and relation rows of the abelianised presentation.
-
-    Column order matches :func:`presentation`: surface generators, then
-    q_1..q_n, then h.  Commutator relators vanish and are omitted; for a
-    non-orientable base each crosscap relation abelianises to 2h = 0.
-    """
-    g = f.genus
-    n = len(f.pairs)
-    nsurface = 2 * g if g >= 0 else -g
-    ncols = nsurface + n + 1
-    rows = []
-    if g < 0:
-        for _ in range(-g):
-            row = [0] * ncols
-            row[-1] = 2
-            rows.append(row)
-    for i, (alpha, beta) in enumerate(f.pairs):
-        row = [0] * ncols
-        row[nsurface + i] = alpha
-        row[-1] = beta
-        rows.append(row)
-    product = [0] * ncols
-    for i in range(n):
-        product[nsurface + i] = 1
-    if g < 0:
-        for j in range(-g):
-            product[j] = 2
-    if any(product):
-        rows.append(product)
-    return ncols, rows
-
-
 def first_homology(f: SeifertFibration) -> tuple[int, ...]:
     """Invariant factors of H_1 (d1 | d2 | ..., 0 meaning a free factor).
 
-    Abelianises the presentation into an integer relation matrix and reads
-    off its Smith invariant factors, dropping trivial ones.
+    Abelianises :func:`presentation`: each relator becomes its row of
+    exponent sums per generator, the all-zero rows of the commutators are
+    dropped, and the Smith invariant factors of what is left are read off,
+    dropping trivial ones.
     """
-    ncols, rows = abelianized_relations(f)
+    pres = presentation(f)
+    ncols = len(pres.generators)
+    column = {g: i for i, g in enumerate(pres.generators)}
+    rows = []
+    for word in pres.relators:
+        row = [0] * ncols
+        for g, e in word:
+            row[column[g]] += e
+        if any(row):
+            rows.append(row)
     if not rows:
         return (0,) * ncols
     factors = smith_normal_form(rows)

@@ -122,14 +122,7 @@ def lens_equal_oriented(l1: LensSpace, l2: LensSpace) -> bool:
 
 def lens_equal_unoriented(l1: LensSpace, l2: LensSpace) -> bool:
     """Diffeomorphism ignoring orientation: adds q1 = -q2 or q1*q2 = -1."""
-    if lens_equal_oriented(l1, l2):
-        return True
-    if l1.p != l2.p:
-        return False
-    p = l1.p
-    if p == 0:
-        return True
-    return (l1.q + l2.q) % p == 0 or (l1.q * l2.q + 1) % p == 0
+    return lens_equal_oriented(l1, l2) or lens_equal_oriented(lens_reverse(l1), l2)
 
 
 def lens_reverse(l: LensSpace) -> LensSpace:

@@ -8,21 +8,23 @@ from itertools import permutations
 from math import gcd
 
 from lensfib import (
-    DeleteTrivial,
-    FlipSigns,
-    InsertTrivial,
     InvalidRangeError,
-    Permute,
     SeifertFibration,
     SeifertPair,
-    ShiftBetas,
-    apply_move,
     construct_fibration,
-    construct_s2xs1,
     fibration,
     lens_equal_oriented,
     normalize,
     recognize,
+)
+from lensfib.construct import construct_s2xs1
+from lensfib.seifert import (
+    DeleteTrivial,
+    FlipSigns,
+    InsertTrivial,
+    Permute,
+    ShiftBetas,
+    apply_move,
 )
 
 

@@ -14,26 +14,26 @@ from helpers import apply_random_moves, coprime_pairs, isotropy_order_oracle, le
 from lensfib import (
     CanonicalForm,
     LensSpace,
-    ModelWeights,
     SeifertPair,
     construct_fibration,
-    construct_s2xs1,
     enumerate_fibrations,
-    euler_number,
     fibration,
     first_homology,
-    gluing_choice,
-    isotropy_order,
     lens_equal_oriented,
     normalize,
     parse,
-    predicted_case,
     recognize,
-    reverse_orientation,
-    s3_fibration,
     unparse,
-    variants,
 )
+from lensfib.classify import predicted_case, variants
+from lensfib.construct import (
+    ModelWeights,
+    construct_s2xs1,
+    gluing_choice,
+    isotropy_order,
+    s3_fibration,
+)
+from lensfib.seifert import euler_number, reverse_orientation
 
 SWEEP_WEIGHTS = [
     (a10, a20)

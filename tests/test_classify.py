@@ -8,23 +8,20 @@ from lensfib import classify as classify_mod
 from lensfib import (
     CaseTag,
     InvalidRangeError,
-    IsoType,
     LensSpace,
-    NotCoprimeError,
     OverflowLimitError,
     classify_pair,
     enumerate_fibrations,
     fibration,
-    isomorphism_type,
     lens_equal_oriented,
     normalize,
     parse,
-    predicted_case,
     recognize,
-    reverse_orientation,
-    s3_fibration,
-    variants,
 )
+from lensfib.classify import predicted_case, variants
+from lensfib.construct import s3_fibration
+from lensfib.errors import NotCoprimeError
+from lensfib.seifert import IsoType, isomorphism_type, reverse_orientation
 
 
 def canon(text):

@@ -5,24 +5,25 @@ import pytest
 from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters
 
 from lensfib import (
-    GluingChoice,
     InvalidRangeError,
     LensSpace,
-    ModelWeights,
-    NotCoprimeError,
-    ZeroWeightError,
     construct_fibration,
-    construct_s2xs1,
     fibration,
-    gluing_choice,
-    isotropy_order,
     lens_equal_oriented,
-    model_fibration,
     normalize,
     parse,
     recognize,
+)
+from lensfib.construct import (
+    GluingChoice,
+    ModelWeights,
+    construct_s2xs1,
+    gluing_choice,
+    isotropy_order,
+    model_fibration,
     s3_fibration,
 )
+from lensfib.errors import NotCoprimeError, ZeroWeightError
 
 
 def canon(text_or_fib):

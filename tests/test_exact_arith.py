@@ -8,28 +8,25 @@ from math import gcd
 import pytest
 from helpers import det_bruteforce
 
-from lensfib import (
-    NotCoprimeError,
-    OverflowLimitError,
-    ext_gcd,
-    mod_inverse,
-    smith_normal_form,
-    unimodular_complement,
-)
-from lensfib.errors import InvalidRangeError
+from lensfib import OverflowLimitError
+from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
     check_magnitude,
+    ext_gcd,
     int_limit,
+    mod_inverse,
     refresh_int_limit,
-    set_int_limit,
+    smith_normal_form,
+    unimodular_complement,
 )
 
 
 @pytest.fixture
-def restore_limit():
+def restore_limit(monkeypatch):
     old = int_limit()
     yield
-    set_int_limit(old)
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(old))
+    refresh_int_limit()
 
 
 def test_gcd_nonneg_examples():
@@ -214,7 +211,8 @@ def test_snf_invariant_under_unimodular_ops():
 
 
 def test_int_guard(restore_limit, monkeypatch):
-    set_int_limit(100)
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "100")
+    refresh_int_limit()
     check_magnitude(100, -100)
     with pytest.raises(OverflowLimitError):
         check_magnitude(101)

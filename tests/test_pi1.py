@@ -4,18 +4,15 @@ from helpers import apply_random_moves, det_bruteforce, lens_parameters
 
 from lensfib import (
     LensSpace,
-    base_orbifold,
     construct_fibration,
     fibration,
     first_homology,
     normalize,
     parse,
-    presentation,
     recognize,
-    reverse_orientation,
-    smith_normal_form,
 )
-from lensfib.pi1 import abelianized_relations, render_word
+from lensfib.pi1 import base_orbifold, presentation, render_word
+from lensfib.seifert import reverse_orientation
 
 
 def test_presentation_genus_zero_two_fibres():
@@ -92,37 +89,6 @@ def test_first_homology_matches_lens_order():
             fib, _ = construct_fibration(lens, *weights)
             expected = (p,) if p >= 2 else ()
             assert first_homology(fib) == expected
-
-
-def test_abelianized_relations_match_presentation():
-    rng = random.Random(40)
-    samples = [
-        parse("M(0;(35,-2),(14,1))"),
-        parse("M(-1;(1,1))"),
-        parse("M(0;)"),
-        fibration(2, (3, 1), (5, 2)),
-        fibration(-2, (2, 1), (7, 3)),
-    ]
-    from helpers import random_fibration
-
-    samples += [random_fibration(rng) for _ in range(40)]
-    for f in samples:
-        pres = presentation(f)
-        index = {g: i for i, g in enumerate(pres.generators)}
-        word_rows = []
-        for word in pres.relators:
-            row = [0] * len(pres.generators)
-            for gen, exp in word:
-                row[index[gen]] += exp
-            if any(row):
-                word_rows.append(row)
-        ncols, rows = abelianized_relations(f)
-        assert ncols == len(pres.generators)
-        # same lattice of relations, hence the same invariant factors
-        if rows or word_rows:
-            assert smith_normal_form(rows or [[0] * ncols]) == smith_normal_form(
-                word_rows or [[0] * ncols]
-            )
 
 
 def test_first_homology_invariance():

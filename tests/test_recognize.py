@@ -6,19 +6,16 @@ from helpers import apply_random_moves, lens_parameters
 from lensfib import (
     DomainError,
     LensSpace,
-    NotCoprimeError,
-    NotLensSpaceError,
-    NotLensSpaceReason,
     construct_fibration,
     fibration,
     lens_equal_oriented,
     lens_equal_unoriented,
-    lens_normalize,
-    lens_reverse,
     parse,
     recognize,
-    reverse_orientation,
 )
+from lensfib.errors import NotCoprimeError, NotLensSpaceError, NotLensSpaceReason
+from lensfib.recognize import lens_normalize, lens_reverse
+from lensfib.seifert import reverse_orientation
 
 
 def test_lens_normalize_examples():

@@ -6,31 +6,32 @@ from helpers import apply_random_moves, random_fibration
 
 from lensfib import (
     CanonicalForm,
-    DeleteTrivial,
-    FibrationParseError,
-    FlipSigns,
-    InapplicableMoveError,
-    InsertTrivial,
-    IsoType,
     NotCoprimePairError,
     OverflowLimitError,
-    Permute,
     SeifertFibration,
     SeifertPair,
-    ShiftBetas,
     ZeroAlphaError,
-    apply_move,
-    euler_number,
     fibration,
-    isomorphism_type,
     normalize,
     parse,
-    reverse_orientation,
     unparse,
-    validate,
 )
 from lensfib.construct import construct_s2xs1, s3_fibration
-from lensfib.seifert import reverse_canonical
+from lensfib.errors import FibrationParseError, InapplicableMoveError
+from lensfib.seifert import (
+    DeleteTrivial,
+    FlipSigns,
+    InsertTrivial,
+    IsoType,
+    Permute,
+    ShiftBetas,
+    apply_move,
+    euler_number,
+    isomorphism_type,
+    reverse_canonical,
+    reverse_orientation,
+    validate,
+)
 
 
 def test_validate():
