@@ -79,6 +79,7 @@ class ModelWeights:
     k2: int
 
     def __post_init__(self):
+        check_magnitude(self.k1, self.k2)
         if self.k1 == 0 or self.k2 == 0:
             raise ZeroWeightError("model weights must be non-zero")
         if gcd(self.k1, self.k2) != 1:
@@ -115,7 +116,8 @@ def _recipe(p: int, s: int, a10: int, a20: int, beta_shift: int = 0):
     beta2 = -s * beta1 + p * beta1_prime
 
     assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
-    check_magnitude(alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2)
+    # unimodular_complement has checked alpha1 and alpha1'.
+    check_magnitude(alpha2, beta1, beta1_prime, beta2)
     # Raised, not asserted: ``python -O`` keeps it, as it keeps ``validate``.
     if gcd(alpha1, beta1) != 1:
         raise NotCoprimePairError(f"pair 0 = ({alpha1}, {beta1}) is not coprime")

@@ -1,16 +1,20 @@
-"""Exact signed-integer number theory used throughout the package.
+"""Exact signed-integer number theory used throughout the package: modular
+inverses (``pow(a, -1, m)`` and ``math.gcd`` do the work), the completion of
+a coprime column to a determinant-one matrix, and Smith normal form.
 
 Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
-loudly instead of letting runaway intermediate values grow silently.  The
-threshold defaults to 2**62 and can be lowered for testing through the
-``SEIFERT_MAX_INT_GUARD`` environment variable.
+loudly.  Each function here checks its arguments against it, and Smith
+normal form also its intermediate entries.  The threshold defaults to 2**62
+and can be lowered for testing through the ``SEIFERT_MAX_INT_GUARD``
+environment variable.
 """
 
 from __future__ import annotations
 
 import os
+from math import gcd
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
 
@@ -59,32 +63,17 @@ def check_magnitude(*values: int) -> None:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(|a|, |b|)."""
-    r0, r1 = a, b
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0 < 0:
-        r0, x0, y0 = -r0, -x0, -y0
-    check_magnitude(r0, x0, y0)
-    return r0, x0, y0
-
-
 def mod_inverse(a: int, m: int) -> int:
     """The inverse of a modulo m, in [0, m).  By convention 0 for m = 1."""
+    check_magnitude(a, m)
     if m < 1:
         raise InvalidRangeError(f"modulus must be >= 1, got {m}")
     if m == 1:
         return 0
-    g, x, _ = ext_gcd(a, m)
+    g = gcd(a, m)
     if g != 1:
         raise NotCoprimeError(f"{a} is not invertible modulo {m} (gcd = {g})")
-    return x % m
+    return pow(a, -1, m)
 
 
 def unimodular_complement(alpha: int, alpha_prime: int) -> tuple[int, int]:
@@ -93,20 +82,18 @@ def unimodular_complement(alpha: int, alpha_prime: int) -> tuple[int, int]:
     Returns (beta, beta_prime) with alpha*beta_prime - alpha_prime*beta = 1.
     All solutions differ by integer multiples of (alpha, alpha_prime); the
     deterministic representative has 0 <= beta < |alpha|, and beta = 0 when
-    alpha = +-1.
+    alpha = +-1.  Both are bounded in magnitude by the arguments, so they
+    need no guard of their own.
     """
-    g, x, y = ext_gcd(alpha, alpha_prime)
+    check_magnitude(alpha, alpha_prime)
+    g = gcd(alpha, alpha_prime)
     if g != 1:
         raise NotCoprimeError(f"gcd({alpha}, {alpha_prime}) = {g} != 1")
-    # alpha*x + alpha_prime*y = 1, so (beta, beta_prime) = (-y, x) is one solution.
-    if alpha == 1 or alpha == -1:
-        return 0, alpha
-    beta = (-y) % abs(alpha)
-    num = 1 + alpha_prime * beta
-    beta_prime, rem = divmod(num, alpha)
-    assert rem == 0, (alpha, alpha_prime, beta)
-    check_magnitude(beta, beta_prime)
-    return beta, beta_prime
+    if alpha == 0:
+        raise InvalidRangeError(f"alpha must be non-zero, got ({alpha}, {alpha_prime})")
+    # alpha_prime*beta = -1 (mod alpha), so alpha divides 1 + alpha_prime*beta.
+    beta = pow(-alpha_prime, -1, abs(alpha))
+    return beta, (1 + alpha_prime * beta) // alpha
 
 
 def smith_normal_form(matrix) -> list[int]:

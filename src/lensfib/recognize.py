@@ -24,7 +24,7 @@ from .errors import (
     NotLensSpaceError,
     NotLensSpaceReason,
 )
-from .exact_arith import mod_inverse, unimodular_complement
+from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
 from .seifert import SeifertFibration, SeifertPair, normalize
 
 
@@ -37,6 +37,7 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
+        check_magnitude(self.p, self.q)
         if self.p < 0:
             raise InvalidRangeError(f"p must be >= 0, got {self.p}")
         if self.p == 0:

@@ -284,6 +284,23 @@ def test_enumerate_max_mult_beyond_guard(capsys, lens):
     assert json.loads(out) == {"command": "enumerate", "status": "error", "error": message}
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("isotropy", "--lens", f"{2**63},3", "--weights", "1,1"), 2**63),
+    (("classify", "--lens", f"{2**63},3", "--pair", "1,1"), 2**63),
+    (("enumerate", "--lens", f"{2**63},3", "--max-mult", "3"), 2**63),
+    (("isotropy", "--lens", "7,2", "--weights", f"{2**70 + 1},1"), 2**70 + 1),
+    (("model", "--lens", "7,2", "--weights", f"{2**70 + 1},1"), 2**70 + 1),
+])
+def test_lens_and_model_weights_beyond_guard(capsys, argv, value):
+    """p or a model weight beyond the guard is named, not an intermediate value."""
+    message = f"|{value}| exceeds the integer guard {2**62}"
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = invoke(capsys, "--json", *argv)
+    assert code == 1 and err == "" and len(out.splitlines()) == 1
+    assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
+
+
 BAD_GUARD_ENVELOPE = {
     "command": "recognize",
     "status": "error",

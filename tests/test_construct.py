@@ -7,6 +7,7 @@ from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters
 from lensfib import (
     InvalidRangeError,
     LensSpace,
+    OverflowLimitError,
     construct_fibration,
     fibration,
     lens_equal_oriented,
@@ -187,6 +188,9 @@ def test_model_weights_validation():
         ModelWeights(0, 1)
     with pytest.raises(NotCoprimeError):
         ModelWeights(2, 4)
+    for k1, k2, value in ((2**62 + 1, 1, 2**62 + 1), (1, -2**70, -2**70)):
+        with pytest.raises(OverflowLimitError, match=rf"^\|{value}\| exceeds"):
+            ModelWeights(k1, k2)
 
 
 def test_isotropy_order_examples():

@@ -12,7 +12,6 @@ from lensfib import OverflowLimitError
 from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
     check_magnitude,
-    ext_gcd,
     int_limit,
     mod_inverse,
     refresh_int_limit,
@@ -38,24 +37,6 @@ def test_gcd_nonneg_examples():
     assert gcd(-6, 14) == 2
     assert gcd(6, -14) == 2
     assert gcd(-4, 0) == 4
-
-
-def test_ext_gcd_examples():
-    g, x, y = ext_gcd(35, -18)
-    assert g == 1 and 35 * x + (-18) * y == 1
-    assert ext_gcd(1, 0) == (1, 1, 0)
-    g, x, y = ext_gcd(2, 7)
-    assert g == 1 and 2 * x + 7 * y == 1
-
-
-def test_ext_gcd_identity_random():
-    rng = random.Random(101)
-    for _ in range(3000):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
-        g, x, y = ext_gcd(a, b)
-        assert g == gcd(a, b)
-        assert a * x + b * y == g
 
 
 def test_mod_inverse_examples():
@@ -118,6 +99,22 @@ def test_unimodular_complement_not_coprime():
         unimodular_complement(4, 6)
     with pytest.raises(NotCoprimeError):
         unimodular_complement(0, 0)
+    for alpha_prime in (1, -1):
+        with pytest.raises(InvalidRangeError, match="alpha must be non-zero"):
+            unimodular_complement(0, alpha_prime)
+
+
+@pytest.mark.parametrize("function, args", [
+    (mod_inverse, (1, 2**62 + 1)),
+    (mod_inverse, (-2**62 - 1, 1)),
+    (mod_inverse, (2**70, 3)),
+    (unimodular_complement, (2**62 + 1, 1)),
+    (unimodular_complement, (1, -2**62 - 1)),
+])
+def test_arguments_beyond_guard_raise_naming_them(function, args):
+    value = next(v for v in args if abs(v) > 2**62)
+    with pytest.raises(OverflowLimitError, match=rf"^\|{value}\| exceeds"):
+        function(*args)
 
 
 def test_snf_examples():
@@ -217,7 +214,7 @@ def test_int_guard(restore_limit, monkeypatch):
     with pytest.raises(OverflowLimitError):
         check_magnitude(101)
     with pytest.raises(OverflowLimitError):
-        ext_gcd(10**6, 3)
+        mod_inverse(10**6, 3)
     with pytest.raises(OverflowLimitError):
         smith_normal_form([[101]])
 

@@ -6,6 +6,7 @@ from helpers import apply_random_moves, lens_parameters
 from lensfib import (
     DomainError,
     LensSpace,
+    OverflowLimitError,
     construct_fibration,
     fibration,
     lens_equal_oriented,
@@ -42,6 +43,20 @@ def test_lens_space_requires_normal_form():
 def test_lens_space_bad_parameters_are_domain_errors(p, q):
     with pytest.raises(DomainError):
         LensSpace(p, q)
+
+
+@pytest.mark.parametrize("p, q", [(2**62 + 1, 1), (-2**62 - 1, 1), (5, 2**70)])
+def test_lens_space_beyond_guard_names_the_value(p, q):
+    value = p if abs(p) > 2**62 else q
+    with pytest.raises(OverflowLimitError, match=rf"^\|{value}\| exceeds"):
+        LensSpace(p, q)
+
+
+def test_recognize_beyond_guard_names_p():
+    # Both pairs are within the guard; p = a1*b2 + b1*a2 = 2**63 - 4 is not.
+    f = fibration(0, (2**62 - 1, 1), (2**62 - 3, 1))
+    with pytest.raises(OverflowLimitError, match=rf"^\|{2**63 - 4}\| exceeds"):
+        recognize(f)
 
 
 def test_recognize_examples():
