@@ -28,7 +28,7 @@ from . import classify as classify_mod
 from . import construct as construct_mod
 from . import pi1 as pi1_mod
 from .errors import DomainError, InvalidRangeError
-from .exact_arith import refresh_int_limit
+from .exact_arith import check_magnitude, refresh_int_limit
 from .recognize import LensSpace, lens_normalize, recognize
 from .seifert import (
     CanonicalForm,
@@ -48,9 +48,11 @@ def _int_pair(text: str, flag: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise InvalidRangeError(f"{flag} must be two comma-separated integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        first, second = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise InvalidRangeError(f"{flag} must be integers, got {text!r}") from exc
+    check_magnitude(first, second)
+    return first, second
 
 
 class Argument(NamedTuple):

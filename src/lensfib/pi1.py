@@ -32,10 +32,6 @@ class GroupPresentation(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
-    def __str__(self) -> str:
-        rels = ", ".join(render_word(w) for w in self.relators)
-        return f"< {', '.join(self.generators)} | {rels} >"
-
 
 def render_word(word: Word) -> str:
     """Render a relator in exponent notation, e.g. ``q1^3 h^-1``."""
@@ -49,35 +45,35 @@ def _commutator(x: str, y: str) -> Word:
 
 
 def presentation(f: SeifertFibration) -> GroupPresentation:
-    """The standard presentation of the fundamental group of the total space."""
+    """The standard presentation of the fundamental group of the total space.
+
+    The two kinds of base differ only in their surface generators, the
+    relators tying those to ``h`` and the surface factor of the product
+    relator; the rest is built once, in the order of the module docstring.
+    """
     g = f.genus
-    n = len(f.pairs)
-    qs = tuple(f"q{i + 1}" for i in range(n))
-
     if g >= 0:
-        surface = []
+        surface: list[str] = []
+        relators: list[Word] = []
+        surface_product: list[tuple[str, int]] = []
         for j in range(1, g + 1):
-            surface += [f"a{j}", f"b{j}"]
-        gens = tuple(surface) + qs + ("h",)
-        relators: list[Word] = [_commutator("h", x) for x in gens[:-1]]
-        for (alpha, beta), q in zip(f.pairs, qs):
-            relators.append(((q, alpha), ("h", beta)))
-        product: list[tuple[str, int]] = [(q, 1) for q in qs]
-        for j in range(1, g + 1):
-            product += list(_commutator(f"a{j}", f"b{j}"))
-        if product:
-            relators.append(tuple(product))
-        return GroupPresentation(gens, tuple(relators))
-
-    crosscaps = tuple(f"a{j}" for j in range(1, -g + 1))
-    gens = crosscaps + qs + ("h",)
-    relators = [((a, -1), ("h", 1), (a, 1), ("h", 1)) for a in crosscaps]
-    relators += [_commutator("h", q) for q in qs]
+            a, b = f"a{j}", f"b{j}"
+            surface += (a, b)
+            relators += (_commutator("h", a), _commutator("h", b))
+            surface_product += _commutator(a, b)
+    else:
+        surface = [f"a{j}" for j in range(1, -g + 1)]
+        relators = [((a, -1), ("h", 1), (a, 1), ("h", 1)) for a in surface]
+        surface_product = [(a, 2) for a in surface]
+    qs = [f"q{i}" for i in range(1, len(f.pairs) + 1)]
+    for q in qs:
+        relators.append(_commutator("h", q))
     for (alpha, beta), q in zip(f.pairs, qs):
         relators.append(((q, alpha), ("h", beta)))
-    product = [(q, 1) for q in qs] + [(a, 2) for a in crosscaps]
-    relators.append(tuple(product))
-    return GroupPresentation(gens, tuple(relators))
+    product = [(q, 1) for q in qs] + surface_product
+    if product:
+        relators.append(tuple(product))
+    return GroupPresentation((*surface, *qs, "h"), tuple(relators))
 
 
 def first_homology(f: SeifertFibration) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from math import gcd
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import (
     FibrationParseError,
@@ -81,45 +81,6 @@ class CanonicalForm(NamedTuple):
         return SeifertFibration(self.genus, self.pairs + (SeifertPair(1, self.b),))
 
 
-# --- equivalence moves -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Permute:
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InsertTrivial:
-    index: int
-
-
-@dataclass(frozen=True)
-class DeleteTrivial:
-    index: int
-
-
-@dataclass(frozen=True)
-class ShiftBetas:
-    """Replace each (alpha_i, beta_i) by (alpha_i, beta_i + k_i*alpha_i)."""
-
-    offsets: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.offsets) != 0:
-            raise InapplicableMoveError(
-                f"beta shifts must sum to zero, got {self.offsets}"
-            )
-
-
-@dataclass(frozen=True)
-class FlipSigns:
-    index: int
-
-
-Move = Union[Permute, InsertTrivial, DeleteTrivial, ShiftBetas, FlipSigns]
-
-
 def validate(f: SeifertFibration) -> None:
     """Check the type invariants, raising on the first violation; every
     ``SeifertFibration`` is checked by this when it is built."""
@@ -133,44 +94,58 @@ def validate(f: SeifertFibration) -> None:
     check_magnitude(f.genus, *(v for pair in f.pairs for v in pair))
 
 
-def apply_move(f: SeifertFibration, move: Move) -> SeifertFibration:
-    """Rewrite the invariant list; the total space is unchanged."""
+# --- equivalence moves -----------------------------------------------------
+#
+# Each move rewrites the invariant list without changing the total space and
+# raises InapplicableMoveError where it does not apply.
+
+
+def permute(f: SeifertFibration, order: tuple[int, ...]) -> SeifertFibration:
+    """Reorder the pairs: pair ``order[j]`` becomes pair j."""
+    n = len(f.pairs)
+    if sorted(order) != list(range(n)):
+        raise InapplicableMoveError(f"{order} is not a permutation of 0..{n - 1}")
+    return SeifertFibration(f.genus, tuple(f.pairs[j] for j in order))
+
+
+def insert_trivial(f: SeifertFibration, index: int) -> SeifertFibration:
+    """Insert a (1, 0) pair before pair ``index`` (at the end for index n)."""
     pairs = f.pairs
-    n = len(pairs)
-    if isinstance(move, Permute):
-        if sorted(move.order) != list(range(n)):
-            raise InapplicableMoveError(
-                f"{move.order} is not a permutation of 0..{n - 1}"
-            )
-        new = tuple(pairs[j] for j in move.order)
-    elif isinstance(move, InsertTrivial):
-        if not 0 <= move.index <= n:
-            raise InapplicableMoveError(f"insertion index {move.index} out of range")
-        new = pairs[: move.index] + (SeifertPair(1, 0),) + pairs[move.index :]
-    elif isinstance(move, DeleteTrivial):
-        if not 0 <= move.index < n:
-            raise InapplicableMoveError(f"deletion index {move.index} out of range")
-        if pairs[move.index] not in (SeifertPair(1, 0), SeifertPair(-1, 0)):
-            raise InapplicableMoveError(
-                f"pair {pairs[move.index]} is not (1, 0) up to sign"
-            )
-        new = pairs[: move.index] + pairs[move.index + 1 :]
-    elif isinstance(move, ShiftBetas):
-        if len(move.offsets) != n:
-            raise InapplicableMoveError(
-                f"expected {n} beta shifts, got {len(move.offsets)}"
-            )
-        new = tuple(
-            SeifertPair(a, b + k * a) for (a, b), k in zip(pairs, move.offsets)
-        )
-    elif isinstance(move, FlipSigns):
-        if not 0 <= move.index < n:
-            raise InapplicableMoveError(f"flip index {move.index} out of range")
-        a, b = pairs[move.index]
-        new = pairs[: move.index] + (SeifertPair(-a, -b),) + pairs[move.index + 1 :]
-    else:
-        raise InapplicableMoveError(f"unknown move {move!r}")
-    return SeifertFibration(f.genus, new)
+    if not 0 <= index <= len(pairs):
+        raise InapplicableMoveError(f"insertion index {index} out of range")
+    return SeifertFibration(f.genus, pairs[:index] + (SeifertPair(1, 0),) + pairs[index:])
+
+
+def delete_trivial(f: SeifertFibration, index: int) -> SeifertFibration:
+    """Delete pair ``index``, which must be (1, 0) or (-1, 0)."""
+    pairs = f.pairs
+    if not 0 <= index < len(pairs):
+        raise InapplicableMoveError(f"deletion index {index} out of range")
+    if pairs[index] not in (SeifertPair(1, 0), SeifertPair(-1, 0)):
+        raise InapplicableMoveError(f"pair {pairs[index]} is not (1, 0) up to sign")
+    return SeifertFibration(f.genus, pairs[:index] + pairs[index + 1 :])
+
+
+def shift_betas(f: SeifertFibration, offsets: tuple[int, ...]) -> SeifertFibration:
+    """Replace each (alpha_i, beta_i) by (alpha_i, beta_i + k_i*alpha_i)."""
+    if sum(offsets) != 0:
+        raise InapplicableMoveError(f"beta shifts must sum to zero, got {offsets}")
+    n = len(f.pairs)
+    if len(offsets) != n:
+        raise InapplicableMoveError(f"expected {n} beta shifts, got {len(offsets)}")
+    return SeifertFibration(
+        f.genus, tuple(SeifertPair(a, b + k * a) for (a, b), k in zip(f.pairs, offsets))
+    )
+
+
+def flip_signs(f: SeifertFibration, index: int) -> SeifertFibration:
+    """Negate both entries of pair ``index``."""
+    pairs = f.pairs
+    if not 0 <= index < len(pairs):
+        raise InapplicableMoveError(f"flip index {index} out of range")
+    a, b = pairs[index]
+    flipped = (SeifertPair(-a, -b),)
+    return SeifertFibration(f.genus, pairs[:index] + flipped + pairs[index + 1 :])
 
 
 def normalize(f: SeifertFibration) -> CanonicalForm:

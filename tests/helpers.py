@@ -19,12 +19,11 @@ from lensfib import (
 )
 from lensfib.construct import construct_s2xs1
 from lensfib.seifert import (
-    DeleteTrivial,
-    FlipSigns,
-    InsertTrivial,
-    Permute,
-    ShiftBetas,
-    apply_move,
+    delete_trivial,
+    flip_signs,
+    insert_trivial,
+    permute,
+    shift_betas,
 )
 
 
@@ -117,6 +116,7 @@ def random_fibration(rng, genus_choices=(0, 0, 0, -1, 1), max_pairs: int = 4):
 
 
 def random_move(rng, f: SeifertFibration, max_pairs: int = 8):
+    """A random move that applies to ``f``: a move function and its argument."""
     n = len(f.pairs)
     kinds = []
     if n > 0:
@@ -133,21 +133,22 @@ def random_move(rng, f: SeifertFibration, max_pairs: int = 8):
     if kind == "permute":
         order = list(range(n))
         rng.shuffle(order)
-        return Permute(tuple(order))
+        return permute, tuple(order)
     if kind == "shift":
         offsets = [rng.randint(-3, 3) for _ in range(n - 1)]
         offsets.append(-sum(offsets))
-        return ShiftBetas(tuple(offsets))
+        return shift_betas, tuple(offsets)
     if kind == "flip":
-        return FlipSigns(rng.randrange(n))
+        return flip_signs, rng.randrange(n)
     if kind == "insert":
-        return InsertTrivial(rng.randint(0, n))
-    return DeleteTrivial(rng.choice(trivial))
+        return insert_trivial, rng.randint(0, n)
+    return delete_trivial, rng.choice(trivial)
 
 
 def apply_random_moves(rng, f: SeifertFibration, count: int, max_pairs: int = 8):
     for _ in range(count):
-        f = apply_move(f, random_move(rng, f, max_pairs))
+        move, argument = random_move(rng, f, max_pairs)
+        f = move(f, argument)
     return f
 
 

@@ -290,9 +290,12 @@ def test_enumerate_max_mult_beyond_guard(capsys, lens):
     (("enumerate", "--lens", f"{2**63},3", "--max-mult", "3"), 2**63),
     (("isotropy", "--lens", "7,2", "--weights", f"{2**70 + 1},1"), 2**70 + 1),
     (("model", "--lens", "7,2", "--weights", f"{2**70 + 1},1"), 2**70 + 1),
+    (("classify", "--lens", f"7,{10 * 2**62}", "--pair", "1,2"), 10 * 2**62),
+    (("construct", "--lens", f"7,{2**70}", "--weights", "5,2"), 2**70),
+    (("construct", "--lens", "7,2", "--weights", f"{2**70 + 1},2"), 2**70 + 1),
 ])
 def test_lens_and_model_weights_beyond_guard(capsys, argv, value):
-    """p or a model weight beyond the guard is named, not an intermediate value."""
+    """Any integer of a pair beyond the guard is named, not a value computed from it."""
     message = f"|{value}| exceeds the integer guard {2**62}"
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

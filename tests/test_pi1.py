@@ -47,15 +47,53 @@ def test_presentation_degenerate_and_higher_genus():
 
     pres = presentation(fibration(2, (3, 1)))
     assert pres.generators == ("a1", "b1", "a2", "b2", "q1", "h")
-    assert pres.relators[-1] == (
-        ("q1", 1),
-        ("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
-        ("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1),
+    assert pres.relators == (
+        (("h", 1), ("a1", 1), ("h", -1), ("a1", -1)),
+        (("h", 1), ("b1", 1), ("h", -1), ("b1", -1)),
+        (("h", 1), ("a2", 1), ("h", -1), ("a2", -1)),
+        (("h", 1), ("b2", 1), ("h", -1), ("b2", -1)),
+        (("h", 1), ("q1", 1), ("h", -1), ("q1", -1)),
+        (("q1", 3), ("h", 1)),
+        (
+            ("q1", 1),
+            ("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
+            ("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1),
+        ),
     )
 
     pres = presentation(fibration(-2, (2, 1)))
     assert pres.generators == ("a1", "a2", "q1", "h")
     assert pres.relators[-1] == (("q1", 1), ("a1", 2), ("a2", 2))
+
+
+def test_presentation_relator_order_without_pairs_and_non_orientable():
+    pres = presentation(parse("M(1;)"))
+    assert pres.generators == ("a1", "b1", "h")
+    assert pres.relators == (
+        (("h", 1), ("a1", 1), ("h", -1), ("a1", -1)),
+        (("h", 1), ("b1", 1), ("h", -1), ("b1", -1)),
+        (("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)),
+    )
+
+    pres = presentation(parse("M(-2;)"))
+    assert pres.generators == ("a1", "a2", "h")
+    assert pres.relators == (
+        (("a1", -1), ("h", 1), ("a1", 1), ("h", 1)),
+        (("a2", -1), ("h", 1), ("a2", 1), ("h", 1)),
+        (("a1", 2), ("a2", 2)),
+    )
+
+    pres = presentation(fibration(-2, (2, 1), (3, -1)))
+    assert pres.generators == ("a1", "a2", "q1", "q2", "h")
+    assert pres.relators == (
+        (("a1", -1), ("h", 1), ("a1", 1), ("h", 1)),
+        (("a2", -1), ("h", 1), ("a2", 1), ("h", 1)),
+        (("h", 1), ("q1", 1), ("h", -1), ("q1", -1)),
+        (("h", 1), ("q2", 1), ("h", -1), ("q2", -1)),
+        (("q1", 2), ("h", 1)),
+        (("q2", 3), ("h", -1)),
+        (("q1", 1), ("q2", 1), ("a1", 2), ("a2", 2)),
+    )
 
 
 def test_first_homology_examples():

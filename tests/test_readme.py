@@ -1,19 +1,22 @@
-"""The README's quick tour and the root namespace agree with the code.
+"""The README's quick tour, CLI block and root namespace agree with the code.
 
 The quick tour is run as written, against ``lensfib``'s root namespace; a
 ``print`` line's trailing comment states its output (``# includes X`` for a
-line printed in a loop: X is one of its outputs).  Every name the root
-namespace exports is documented in the README.
+line printed in a loop: X is one of its outputs).  Each line of the CLI
+block is run in process and must succeed; a one-word comment is its whole
+output.  Every name the root namespace exports is documented in the README.
 """
 
 import io
 import re
+import shlex
 import sys
 import tokenize
 from inspect import ismodule
 from pathlib import Path
 
 import lensfib
+from lensfib import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -49,6 +52,22 @@ def test_quick_tour_prints_what_its_comments_say():
             assert comment.removeprefix("includes ") in outputs, (line, outputs)
         else:
             assert outputs == [comment], line
+
+
+def test_cli_block_runs_and_prints_what_its_comments_say(capsys):
+    section = README[README.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "lensfib"
+        assert cli.run(argv) == 0, line
+        out = capsys.readouterr().out
+        comment = comment.strip()
+        if comment and " " not in comment:
+            assert out == comment + "\n", line
 
 
 def test_root_namespace_is_what_the_readme_documents():

@@ -19,17 +19,16 @@ from lensfib import (
 from lensfib.construct import construct_s2xs1, s3_fibration
 from lensfib.errors import FibrationParseError, InapplicableMoveError
 from lensfib.seifert import (
-    DeleteTrivial,
-    FlipSigns,
-    InsertTrivial,
     IsoType,
-    Permute,
-    ShiftBetas,
-    apply_move,
+    delete_trivial,
     euler_number,
+    flip_signs,
+    insert_trivial,
     isomorphism_type,
+    permute,
     reverse_canonical,
     reverse_orientation,
+    shift_betas,
     validate,
 )
 
@@ -49,49 +48,51 @@ def test_validate():
     (lambda: SeifertFibration(0, (SeifertPair(4, 2),)), NotCoprimePairError),
     (lambda: fibration(0, (0, 1)), ZeroAlphaError),
     (lambda: parse("M(0;(4,2))"), NotCoprimePairError),
-    (lambda: apply_move(fibration(0, (3, 1), (5, 2)), ShiftBetas((2**61, -2**61))),
-     OverflowLimitError),
+    (lambda: shift_betas(fibration(0, (3, 1), (5, 2)), (2**61, -2**61)), OverflowLimitError),
     (lambda: CanonicalForm(0, 2**70, ()).expand(), OverflowLimitError),
     (lambda: construct_s2xs1(2**70, 1), OverflowLimitError),
     (lambda: s3_fibration(2**70 + 1, 2**70), OverflowLimitError),
-], ids=["constructor", "fibration", "parse", "apply_move", "expand",
+], ids=["constructor", "fibration", "parse", "shift_betas", "expand",
         "construct_s2xs1", "s3_fibration"])
 def test_every_constructor_checks_its_list(build, error):
     with pytest.raises(error):
         build()
 
 
-def test_apply_move_examples():
+def test_move_examples():
     f = fibration(0, (-1, 3))
-    assert apply_move(f, FlipSigns(0)) == fibration(0, (1, -3))
+    assert flip_signs(f, 0) == fibration(0, (1, -3))
 
     f = fibration(0, (3, -1), (3, 2))
-    assert apply_move(f, InsertTrivial(2)) == fibration(0, (3, -1), (3, 2), (1, 0))
-    shifted = apply_move(f, ShiftBetas((1, -1)))
+    assert insert_trivial(f, 2) == fibration(0, (3, -1), (3, 2), (1, 0))
+    shifted = shift_betas(f, (1, -1))
     assert shifted == fibration(0, (3, 2), (3, -1))
 
-    assert apply_move(f, Permute((1, 0))) == fibration(0, (3, 2), (3, -1))
+    assert permute(f, (1, 0)) == fibration(0, (3, 2), (3, -1))
     g = fibration(0, (1, 0), (3, 2))
-    assert apply_move(g, DeleteTrivial(0)) == fibration(0, (3, 2))
-    assert apply_move(fibration(0, (-1, 0)), DeleteTrivial(0)) == fibration(0)
+    assert delete_trivial(g, 0) == fibration(0, (3, 2))
+    assert delete_trivial(fibration(0, (-1, 0)), 0) == fibration(0)
 
 
 def test_inapplicable_moves():
     f = fibration(0, (3, -1), (3, 2))
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, Permute((0, 0)))
+        permute(f, (0, 0))
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, DeleteTrivial(0))
+        delete_trivial(f, 0)
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, DeleteTrivial(7))
+        delete_trivial(f, 7)
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, ShiftBetas((1, -1, 0)))
+        shift_betas(f, (1, -1, 0))
     with pytest.raises(InapplicableMoveError):
-        ShiftBetas((1, 2))
+        shift_betas(f, (1, 2))
+    # the total shift is checked before the number of shifts
+    with pytest.raises(InapplicableMoveError, match="sum to zero"):
+        shift_betas(f, (1, 2, 0))
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, FlipSigns(2))
+        flip_signs(f, 2)
     with pytest.raises(InapplicableMoveError):
-        apply_move(f, InsertTrivial(3))
+        insert_trivial(f, 3)
 
 
 def test_normalize_examples():
