@@ -33,8 +33,13 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .construct import Construction, _recipe, construct_fibration, gluing_choice
-from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
+from .construct import _recipe, construct_fibration, gluing_choice
+from .errors import (
+    InvalidRangeError,
+    NotCoprimeError,
+    NotCoprimePairError,
+    PredictionMismatchError,
+)
 from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented, recognize
@@ -46,27 +51,6 @@ from .seifert import (
     normalize,
     reverse_canonical,
 )
-
-
-class VariantSet(NamedTuple):
-    """The four constructions from (m1,m2), (m1,-m2), (m2,m1), (m2,-m1)."""
-
-    e: Construction
-    a: Construction
-    b: Construction
-    c: Construction
-
-    def fibrations(self) -> tuple[SeifertFibration, ...]:
-        return tuple(v.fibration for v in self)
-
-
-def variants(lens: LensSpace, a10: int, a20: int) -> VariantSet:
-    return VariantSet(
-        e=construct_fibration(lens, a10, a20),
-        a=construct_fibration(lens, a10, -a20),
-        b=construct_fibration(lens, a20, a10),
-        c=construct_fibration(lens, a20, -a10),
-    )
 
 
 class CaseTag(Enum):
@@ -148,18 +132,15 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
     prediction would be an implementation bug and raises loudly.
     """
     prediction = predicted_case(lens, m1, m2)
-    vs = variants(lens, m1, m2)
-    weight_choices = ((m1, m2), (m1, -m2), (m2, m1), (m2, -m1))
 
     classes: list[ClassEntry] = []
     seen: dict[CanonicalForm, int] = {}
-    for built, weights in zip(vs, weight_choices):
-        cf = normalize(built.fibration)
+    for weights in ((m1, m2), (m1, -m2), (m2, m1), (m2, -m1)):
+        fib = construct_fibration(lens, *weights).fibration
+        cf = normalize(fib)
         if cf not in seen:
             seen[cf] = len(classes)
-            classes.append(
-                ClassEntry(cf, weights, built.fibration, base_orbifold(built.fibration))
-            )
+            classes.append(ClassEntry(cf, weights, fib, base_orbifold(fib)))
 
     reversed_forms = [reverse_canonical(entry.canonical) for entry in classes]
     reversing = []
@@ -231,9 +212,17 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
             # The least a20 >= -top with a20 = s*a10 (mod u).
             first = (s * a10 + top) % u - top
             for a20 in range(first, top + 1, u):
-                if a20 and gcd(a10, a20) == 1 and gcd(p, s * a10 - a20) == u:
-                    _, _, alpha1, alpha2, _, beta1, _, beta2 = _recipe(p, s, a10, a20)
-                    found.add(_canonical_form(0, ((alpha1, beta1), (alpha2, beta2))))
+                if not a20 or gcd(a10, a20) != 1 or gcd(p, s * a10 - a20) != u:
+                    continue
+                _, alpha1, alpha2, _, beta1, _, beta2 = _recipe(p, s, a10, a20, u)
+                # validate's checks, raised so that ``python -O`` keeps them;
+                # unimodular_complement has checked alpha1.
+                check_magnitude(alpha2, beta1, beta2)
+                if gcd(alpha1, beta1) != 1:
+                    raise NotCoprimePairError(f"pair 0 = ({alpha1}, {beta1}) is not coprime")
+                if gcd(alpha2, beta2) != 1:
+                    raise NotCoprimePairError(f"pair 1 = ({alpha2}, {beta2}) is not coprime")
+                found.add(_canonical_form(0, ((alpha1, beta1), (alpha2, beta2))))
     for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
         if lens_equal_oriented(recognize(projective), lens):
             found.add(normalize(projective))

@@ -101,9 +101,7 @@ def _fibration_result(fib) -> dict:
 
 def _construct(lens, weights) -> dict:
     fib, trace = construct_mod.construct_fibration(lens, *weights)
-    fields = trace._asdict()
-    fields.update(fields.pop("choice")._asdict())
-    return {"result": _fibration_result(fib), "trace": fields}
+    return {"result": _fibration_result(fib), "trace": trace._asdict()}
 
 
 def _normalize(fibration) -> dict:

@@ -30,12 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import (
-    InvalidRangeError,
-    NotCoprimeError,
-    NotCoprimePairError,
-    ZeroWeightError,
-)
+from .errors import InvalidRangeError, NotCoprimeError, ZeroWeightError
 from .exact_arith import (
     check_magnitude,
     mod_inverse,
@@ -63,7 +58,8 @@ class ConstructionTrace(NamedTuple):
     beta1: int
     beta1_prime: int
     beta2: int
-    choice: GluingChoice
+    r: int
+    s: int
 
 
 class Construction(NamedTuple):
@@ -92,38 +88,29 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     """Deterministic (r, s): s the inverse of q mod p lifted to [0, p)."""
     if p < 1:
         raise InvalidRangeError(f"p must be >= 1, got {p}")
-    if gcd(p, q) != 1:
-        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
     s = mod_inverse(q, p)
     r = (1 - q * s) // p
     assert q * s + p * r == 1
     return GluingChoice(r, s)
 
 
-def _recipe(p: int, s: int, a10: int, a20: int, beta_shift: int = 0):
-    """The recipe's integers (u, alpha, alpha1, alpha2, alpha1', beta1,
-    beta1', beta2) for p >= 1, q*s = 1 (mod p) and coprime non-zero weights,
-    with every check ``construct_fibration`` and ``validate`` make on them."""
-    d = s * a10 - a20
-    u = gcd(p, d)
+def _recipe(p: int, s: int, a10: int, a20: int, u: int, beta_shift: int = 0):
+    """The recipe's integers (alpha, alpha1, alpha2, alpha1', beta1, beta1',
+    beta2) for p >= 1, q*s = 1 (mod p), coprime non-zero weights and
+    u = gcd(p, s*a10 - a20).  It checks only beta1', which no pair holds,
+    against the guard; the caller checks the two pairs."""
     alpha = p // u
     alpha1 = alpha * a10
     alpha2 = alpha * a20
-    alpha1_prime = d // u
+    alpha1_prime = (s * a10 - a20) // u
     beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
     beta1 += beta_shift * alpha1
     beta1_prime += beta_shift * alpha1_prime
     beta2 = -s * beta1 + p * beta1_prime
 
     assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
-    # unimodular_complement has checked alpha1 and alpha1'.
-    check_magnitude(alpha2, beta1, beta1_prime, beta2)
-    # Raised, not asserted: ``python -O`` keeps it, as it keeps ``validate``.
-    if gcd(alpha1, beta1) != 1:
-        raise NotCoprimePairError(f"pair 0 = ({alpha1}, {beta1}) is not coprime")
-    if gcd(alpha2, beta2) != 1:
-        raise NotCoprimePairError(f"pair 1 = ({alpha2}, {beta2}) is not coprime")
-    return u, alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2
+    check_magnitude(beta1_prime)
+    return alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2
 
 
 def construct_fibration(
@@ -154,7 +141,8 @@ def construct_fibration(
     r, s = gluing_choice(p, q)
     s += s_shift * p
     r -= s_shift * q
-    trace = ConstructionTrace(*_recipe(p, s, a10, a20, beta_shift), GluingChoice(r, s))
+    u = gcd(p, s * a10 - a20)
+    trace = ConstructionTrace(u, *_recipe(p, s, a10, a20, u, beta_shift), r, s)
     fib = SeifertFibration(0, (SeifertPair(trace.alpha1, trace.beta1),
                                SeifertPair(trace.alpha2, trace.beta2)))
     return Construction(fib, trace)

@@ -43,11 +43,6 @@ except InvalidRangeError:
     _int_limit = _DEFAULT_LIMIT
 
 
-def int_limit() -> int:
-    """Current magnitude threshold for the overflow guard."""
-    return _int_limit
-
-
 def refresh_int_limit() -> int:
     """Re-read the guard threshold from the environment (used by the CLI)."""
     global _int_limit

@@ -29,10 +29,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import exact_arith
 from .errors import (
     FibrationParseError,
     InapplicableMoveError,
     NotCoprimePairError,
+    OverflowLimitError,
     ZeroAlphaError,
 )
 from .exact_arith import check_magnitude
@@ -233,6 +235,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.guard_digits = len(str(exact_arith._int_limit))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -253,6 +256,11 @@ class _Scanner:
         m = _INT_RE.match(self.text, self.pos)
         if m is None:
             raise FibrationParseError("expected an integer", self.pos)
+        # Checked before int(), which raises a plain ValueError on a long token.
+        digits = len(m.group().lstrip("-0"))
+        if digits > self.guard_digits:
+            raise OverflowLimitError(f"a {digits}-digit integer exceeds the integer guard "
+                                     f"{exact_arith._int_limit} (at position {self.pos})")
         self.pos = m.end()
         return int(m.group())
 

@@ -88,6 +88,13 @@ def enumerate_by_construction(lens, max_mult: int) -> set:
     return found
 
 
+def variants(lens, m1: int, m2: int) -> tuple:
+    """The fibrations e, a, b, c built from the weights (m1, m2), (m1, -m2),
+    (m2, m1) and (m2, -m1), the four that ``classify_pair`` compares."""
+    return tuple(construct_fibration(lens, *weights).fibration
+                 for weights in ((m1, m2), (m1, -m2), (m2, m1), (m2, -m1)))
+
+
 def isotropy_order_oracle(lens, weights) -> int:
     """Independent count of ``isotropy_order`` by lattice enumeration.
 

@@ -2,7 +2,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import deadline, enumerate_by_construction, lens_parameters
+from helpers import deadline, enumerate_by_construction, lens_parameters, variants
 
 from lensfib import classify as classify_mod
 from lensfib import (
@@ -18,7 +18,7 @@ from lensfib import (
     parse,
     recognize,
 )
-from lensfib.classify import predicted_case, variants
+from lensfib.classify import predicted_case
 from lensfib.construct import s3_fibration
 from lensfib.errors import NotCoprimeError
 from lensfib.seifert import IsoType, isomorphism_type, reverse_orientation
@@ -29,19 +29,16 @@ def canon(text):
 
 
 def test_variants_examples():
-    vs = variants(LensSpace(5, 2), 3, 2)
-    assert normalize(vs.e.fibration) == canon("M(0;(15,2),(10,-1))")
-    assert normalize(vs.a.fibration) == canon("M(0;(15,4),(10,-3))")
-    assert isomorphism_type(
-        vs.c.fibration, reverse_orientation(vs.e.fibration)
-    ) is IsoType.ORIENTED
+    e, a, _, c = variants(LensSpace(5, 2), 3, 2)
+    assert normalize(e) == canon("M(0;(15,2),(10,-1))")
+    assert normalize(a) == canon("M(0;(15,4),(10,-3))")
+    assert isomorphism_type(c, reverse_orientation(e)) is IsoType.ORIENTED
 
-    vs = variants(LensSpace(3, 2), 1, 1)
-    assert normalize(vs.e.fibration) == canon("M(0;(3,-1),(3,2))")
-    assert normalize(vs.a.fibration) == canon("M(0;(1,-3))")
+    e, a, _, _ = variants(LensSpace(3, 2), 1, 1)
+    assert normalize(e) == canon("M(0;(3,-1),(3,2))")
+    assert normalize(a) == canon("M(0;(1,-3))")
 
-    vs = variants(LensSpace(1, 0), 1, 1)
-    for fib in vs.fibrations():
+    for fib in variants(LensSpace(1, 0), 1, 1):
         assert recognize(fib) == LensSpace(1, 0)
 
 

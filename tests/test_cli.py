@@ -304,6 +304,28 @@ def test_lens_and_model_weights_beyond_guard(capsys, argv, value):
     assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
 
 
+@pytest.mark.parametrize("max_str_digits", [4300, 0])
+@pytest.mark.parametrize("command", ["normalize", "parse-check"])
+def test_over_long_integer_is_domain_error(capsys, command, max_str_digits):
+    """An integer with more digits than the guard is refused before ``int``
+    reads it, whatever limit Python sets on converting integer text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python sets no limit on integer text")
+    argv = (command, f"M(0;({'7' * 5000},1))")
+    message = f"a 5000-digit integer exceeds the integer guard {2**62} (at position 5)"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        text_mode = invoke(capsys, *argv)
+        json_mode = invoke(capsys, "--json", *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert text_mode == (1, "", f"error: {message}\n")
+    code, out, err = json_mode
+    assert code == 1 and err == "" and len(out.splitlines()) == 1
+    assert json.loads(out) == {"command": command, "status": "error", "error": message}
+
+
 BAD_GUARD_ENVELOPE = {
     "command": "recognize",
     "status": "error",

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from lensfib import (
     normalize,
     parse,
     recognize,
+    refresh_int_limit,
 )
 from lensfib.construct import (
     GluingChoice,
@@ -77,7 +79,7 @@ def test_construct_trace_identities():
         lens = LensSpace(p, q)
         for a10, a20 in [(1, 1), (1, -1), (2, -3), (4, 7), (-5, 3)]:
             fib, tr = construct_fibration(lens, a10, a20)
-            r, s = tr.choice
+            r, s = tr.r, tr.s
             assert q * s + p * r == 1
             assert tr.u == gcd(p, s * a10 - a20)
             assert tr.alpha == p // tr.u
@@ -234,3 +236,42 @@ def test_round_trip_oriented():
         for a10, a20 in [(1, 1), (1, -1), (3, 2), (-2, 5), (7, -3)]:
             fib, _ = construct_fibration(lens, a10, a20)
             assert lens_equal_oriented(recognize(fib), lens)
+
+
+def test_no_recipe_value_escapes_the_guard(monkeypatch):
+    """Every value of the recipe, and the lens it starts from, is checked
+    against the guard: with the guard at the largest of them the
+    construction is unchanged, and one below it the construction raises."""
+    weights = [(a10, a20) for a10 in range(-6, 7) for a20 in range(-6, 7)
+               if a10 and a20 and gcd(a10, a20) == 1]
+    # lens_parameters starts at p = 2.
+    lenses = [(1, 0), *lens_parameters(25)]
+    calls = [(p, q, a10, a20, {"beta_shift": k})
+             for (p, q), (a10, a20), k in product(lenses, weights, (0, 2))]
+    # Only with s shifted is beta1', which no pair holds, the largest value.
+    calls.append((7, 2, 5, 2, {"s_shift": 1, "beta_shift": 1}))
+
+    def build(guard, p, q, a10, a20, shifts):
+        monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(guard))
+        refresh_int_limit()
+        return construct_fibration(LensSpace(p, q), a10, a20, **shifts)
+
+    checked = 0
+    try:
+        for call in calls:
+            built = build(2**62, *call)
+            tr = built.trace
+            m = max(abs(v) for v in (*call[:2], tr.alpha1, tr.alpha2, tr.alpha1_prime,
+                                     tr.beta1, tr.beta1_prime, tr.beta2))
+            if m == 1:
+                continue
+            assert build(m, *call) == built
+            with pytest.raises(OverflowLimitError):
+                build(m - 1, *call)
+            checked += 1
+    finally:
+        monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
+        refresh_int_limit()
+    assert checked == 36_797
+    # The last call, the one with s shifted.
+    assert m == tr.beta1_prime == 103

@@ -12,7 +12,6 @@ from lensfib import OverflowLimitError
 from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
     check_magnitude,
-    int_limit,
     mod_inverse,
     refresh_int_limit,
     smith_normal_form,
@@ -22,7 +21,7 @@ from lensfib.exact_arith import (
 
 @pytest.fixture
 def restore_limit(monkeypatch):
-    old = int_limit()
+    old = refresh_int_limit()
     yield
     monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(old))
     refresh_int_limit()
@@ -220,7 +219,9 @@ def test_int_guard(restore_limit, monkeypatch):
 
     monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "55")
     assert refresh_int_limit() == 55
-    assert int_limit() == 55
+    check_magnitude(55)
+    with pytest.raises(OverflowLimitError):
+        check_magnitude(56)
     monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "zero")
     with pytest.raises(InvalidRangeError):
         refresh_int_limit()
@@ -228,15 +229,28 @@ def test_int_guard(restore_limit, monkeypatch):
     assert refresh_int_limit() == 2**62
 
 
+# Prints "guard N" exactly when N is the guard in force: N passes, N + 1 fails.
+REPORT_GUARD = """
+import sys
+import lensfib.exact_arith as e
+limit = int(sys.argv[1])
+e.check_magnitude(limit)
+try:
+    e.check_magnitude(limit + 1)
+except e.OverflowLimitError:
+    print("guard", limit)
+"""
+
+
 @pytest.mark.parametrize("raw, limit", [("55", 55), ("abc", 2**62), ("0", 2**62)])
 def test_import_reads_guard_and_never_raises(raw, limit):
     """A valid SEIFERT_MAX_INT_GUARD applies at import; a bad one leaves the
     default in place, to be reported by refresh_int_limit."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import lensfib.exact_arith as e; print(e.int_limit())"],
+        [sys.executable, "-c", REPORT_GUARD, str(limit)],
         capture_output=True,
         text=True,
         env=dict(os.environ, SEIFERT_MAX_INT_GUARD=raw),
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == limit
+    assert proc.stdout == f"guard {limit}\n"

@@ -199,6 +199,8 @@ def test_parse_examples():
     assert f.genus == -1 and f.pairs == (SeifertPair(1, 1),)
     assert parse("M(0;)") == fibration(0)
     assert parse("  M ( 0 ; ( 3 , -1 ) , ( 3 , 2 ) ) ") == fibration(0, (3, -1), (3, 2))
+    # Leading zeros do not count against the guard's digits.
+    assert parse(f"M(-0;(0003,-{'0' * 40}1))") == fibration(0, (3, -1))
 
 
 def test_parse_errors_report_position():
