@@ -6,15 +6,17 @@ Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
 loudly.  Each function here checks its arguments against it, and Smith
-normal form also its intermediate entries.  The threshold defaults to 2**62
-and can be lowered for testing through the ``SEIFERT_MAX_INT_GUARD``
-environment variable.
+normal form its entries after each pivot.  Where that trips on a square
+matrix with nonzero determinant D, the same elimination reruns with entries
+kept modulo D; a singular matrix, or a D beyond the guard, still raises.
+The threshold defaults to 2**62 and can be lowered for testing through the
+``SEIFERT_MAX_INT_GUARD`` environment variable.
 """
 
 from __future__ import annotations
 
 import os
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
 
@@ -98,78 +100,108 @@ def smith_normal_form(matrix) -> list[int]:
     rank deficiency.  Intended for the small relation matrices arising from
     fibration presentations, not as a general-purpose SNF.
     """
-    m = [[int(v) for v in row] for row in matrix]
+    m = [list(map(int, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
+        raise InvalidRangeError("matrix rows have unequal lengths")
     for row in m:
-        if len(row) != cols:
-            raise InvalidRangeError("matrix rows have unequal lengths")
-    check_magnitude(*(v for row in m for v in row))
+        check_magnitude(*row)
+    try:
+        diag = _eliminate([row[:] for row in m], rows, cols)
+    except OverflowLimitError:
+        # |det| annihilates the cokernel, so the same elimination may keep
+        # its entries modulo D = |det| (Cohen, section 2.4).
+        d = _abs_determinant(m) if rows == cols else 0
+        if not 0 < d <= _int_limit:
+            raise
+        diag = [gcd(v, d) for v in _eliminate(m, rows, cols, d)]
+    # gcd and lcm turn the diagonal into the chain of invariant factors; a
+    # unit already divides the rest.
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[i] == 1:
+                break
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag
 
+
+def _abs_determinant(m: list[list[int]]) -> int:
+    """|det m| by Bareiss fraction-free elimination (Cohen, section 2.2)."""
+    a = [row[:] for row in m]
+    n, previous = len(a), 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return abs(a[-1][-1])
+
+
+def _eliminate(m: list[list[int]], rows: int, cols: int, modulus: int = 0) -> list[int]:
+    """A diagonal, zeros last, that row and column operations bring ``m`` to.
+    The entries are checked against the guard after each pivot, or with a
+    ``modulus`` reduced to symmetric residues by every operation."""
+    limit = _int_limit
+    half = modulus // 2
     size = min(rows, cols)
     diag = []
-    t = 0
-    while t < size:
-        # Pick the nonzero entry of smallest magnitude as pivot.
-        pivot = None
+    for t in range(size):
+        # The nonzero entry of least magnitude is the pivot; a unit ends the search.
+        pivot = 0
         for i in range(t, rows):
             for j in range(t, cols):
-                v = m[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-        if pivot is None:
+                v = abs(m[i][j])
+                if v and (v < pivot or not pivot):
+                    pivot, pi, pj = v, i, j
+            if pivot == 1:
+                break
+        if not pivot:
             break
-        pi, pj, _ = pivot
         m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
 
         # Clear row and column t by Euclidean steps, restarting whenever a
         # remainder smaller than the pivot shows up.
         while True:
-            p = m[t][t]
-            dirty = False
+            top = m[t]
+            p = top[t]
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // p
+                row = m[i]
+                if row[t]:
+                    q = row[t] // p
                     for j in range(t, cols):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
+                        row[j] -= q * top[j]
+                    if modulus:
+                        row[t:] = [(v + half) % modulus - half for v in row[t:]]
+                    if row[t]:
+                        m[t], m[i] = row, top
                         break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // p
-                    for i in range(t, rows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j] != 0:
-                        for i in range(rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        check_magnitude(*(v for row in m for v in row))
-
-        # Divisibility: fold any submatrix entry the pivot misses.
-        p = abs(m[t][t])
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % p != 0:
-                    offender = i
+            else:
+                for j in range(t + 1, cols):
+                    if top[j]:
+                        q = top[j] // p
+                        for row in m[t:]:
+                            row[j] -= q * row[t]
+                            if modulus:
+                                row[j] = (row[j] + half) % modulus - half
+                        if top[j]:
+                            for row in m:
+                                row[t], row[j] = row[j], row[t]
+                            break
+                else:
                     break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, cols):
-                m[t][j] += m[offender][j]
-            continue
-        diag.append(p)
-        t += 1
+        for row in m[t:]:
+            for v in row:
+                if v > limit or -v > limit:
+                    raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
+        diag.append(abs(m[t][t]))
 
-    diag.extend(0 for _ in range(size - len(diag)))
-    return diag
+    return diag + [0] * (size - len(diag))

@@ -18,6 +18,8 @@ from lensfib import (
     recognize,
 )
 from lensfib.construct import construct_s2xs1
+from lensfib.exact_arith import smith_normal_form
+from lensfib.pi1 import presentation
 from lensfib.seifert import (
     delete_trivial,
     flip_signs,
@@ -46,6 +48,28 @@ def det_bruteforce(matrix) -> int:
     return total
 
 
+def first_homology_by_presentation(f: SeifertFibration) -> tuple[int, ...]:
+    """Invariant factors of H_1 from the whole abelianised ``presentation``:
+    one row of exponent sums per relator, Smith form of all of it.  An
+    oracle for ``first_homology``, which splits the surface part off first."""
+    pres = presentation(f)
+    ncols = len(pres.generators)
+    column = {g: i for i, g in enumerate(pres.generators)}
+    rows = []
+    for word in pres.relators:
+        row = [0] * ncols
+        for g, e in word:
+            row[column[g]] += e
+        if any(row):
+            rows.append(row)
+    if not rows:
+        return (0,) * ncols
+    factors = smith_normal_form(rows)
+    rank = sum(1 for d in factors if d != 0)
+    torsion = tuple(d for d in factors if d > 1)
+    return torsion + (0,) * (ncols - rank)
+
+
 def coprime_pairs(bound: int):
     """All ordered coprime (m1, m2) with 1 <= m1, m2 <= bound."""
     for m1 in range(1, bound + 1):
@@ -55,9 +79,9 @@ def coprime_pairs(bound: int):
 
 
 def lens_parameters(p_max: int):
-    """All normalized (p, q) with 1 <= p <= p_max."""
+    """All normalized (p, q) with 1 <= p <= p_max, L(1,0) included."""
     for p in range(1, p_max + 1):
-        for q in range(p == 1 and 0 or 1, p or 1):
+        for q in range(0 if p == 1 else 1, p):
             if gcd(p, q) == 1:
                 yield p, q
 

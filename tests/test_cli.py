@@ -326,6 +326,32 @@ def test_over_long_integer_is_domain_error(capsys, command, max_str_digits):
     assert json.loads(out) == {"command": command, "status": "error", "error": message}
 
 
+@pytest.mark.parametrize("max_str_digits", [4300, 0])
+@pytest.mark.parametrize("argv", [
+    ("construct", "--lens", "7," + "7" * 5000, "--weights", "1,2"),
+    ("isotropy", "--lens", "7,2", "--weights", "-" + "7" * 5000 + ",1"),
+    ("enumerate", "--lens", "7,2", "--max-mult", "7" * 5000),
+    ("enumerate", "--lens", "7,2", "--max-mult=-" + "7" * 5000),
+])
+def test_over_long_integer_option_is_domain_error(capsys, argv, max_str_digits):
+    """An option's integer with far more digits than the guard is refused by
+    its length, before ``int`` reads it, and its digits are not echoed."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python sets no limit on integer text")
+    message = f"a 5000-digit integer exceeds the integer guard {2**62}"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        text_mode = invoke(capsys, *argv)
+        json_mode = invoke(capsys, "--json", *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert text_mode == (1, "", f"error: {message}\n")
+    code, out, err = json_mode
+    assert code == 1 and err == "" and len(out.splitlines()) == 1
+    assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
+
+
 BAD_GUARD_ENVELOPE = {
     "command": "recognize",
     "status": "error",

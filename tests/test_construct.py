@@ -244,10 +244,8 @@ def test_no_recipe_value_escapes_the_guard(monkeypatch):
     construction is unchanged, and one below it the construction raises."""
     weights = [(a10, a20) for a10 in range(-6, 7) for a20 in range(-6, 7)
                if a10 and a20 and gcd(a10, a20) == 1]
-    # lens_parameters starts at p = 2.
-    lenses = [(1, 0), *lens_parameters(25)]
     calls = [(p, q, a10, a20, {"beta_shift": k})
-             for (p, q), (a10, a20), k in product(lenses, weights, (0, 2))]
+             for (p, q), (a10, a20), k in product(lens_parameters(25), weights, (0, 2))]
     # Only with s shifted is beta1', which no pair holds, the largest value.
     calls.append((7, 2, 5, 2, {"s_shift": 1, "beta_shift": 1}))
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from helpers import det_bruteforce
 
+import lensfib.exact_arith
 from lensfib import OverflowLimitError
 from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
@@ -155,23 +156,27 @@ def test_snf_divisibility_and_determinant_random():
         assert prod == abs(det_bruteforce(m))
 
 
+def _assert_prefixes_are_gcds_of_minors(m, factors):
+    rows, cols = len(m), len(m[0])
+    assert len(factors) == min(rows, cols)
+    prefix = 1
+    for k, d in enumerate(factors, start=1):
+        prefix *= d
+        minors_gcd = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                minor = [[m[r][c] for c in cs] for r in rs]
+                minors_gcd = gcd(minors_gcd, det_bruteforce(minor))
+        assert prefix == minors_gcd, (m, factors, k)
+
+
 def test_snf_prefix_products_are_gcds_of_minors_random():
     """d1*...*dk is the gcd of all k x k minors, for every k."""
     rng = random.Random(606)
     for _ in range(300):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        factors = smith_normal_form(m)
-        assert len(factors) == min(rows, cols)
-        prefix = 1
-        for k, d in enumerate(factors, start=1):
-            prefix *= d
-            minors_gcd = 0
-            for rs in combinations(range(rows), k):
-                for cs in combinations(range(cols), k):
-                    minor = [[m[r][c] for c in cs] for r in rs]
-                    minors_gcd = gcd(minors_gcd, det_bruteforce(minor))
-            assert prefix == minors_gcd, (m, factors, k)
+        _assert_prefixes_are_gcds_of_minors(m, smith_normal_form(m))
 
 
 def _random_unimodular_ops(rng, m):
@@ -204,6 +209,50 @@ def test_snf_invariant_under_unimodular_ops():
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         expected = smith_normal_form(m)
         assert smith_normal_form(_random_unimodular_ops(rng, m)) == expected
+
+
+def test_snf_reruns_modulo_the_determinant_when_the_guard_trips(restore_limit, monkeypatch):
+    """Under a low guard the plain pass overflows on many small-determinant
+    matrices; the rerun modulo |det| must still give the Smith form."""
+    reruns = []
+    determinant = lensfib.exact_arith._abs_determinant
+    monkeypatch.setattr(lensfib.exact_arith, "_abs_determinant",
+                        lambda m: reruns.append(m) or determinant(m))
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
+    refresh_int_limit()
+    rng = random.Random(909)
+    answered_by_rerun = 0
+    for _ in range(1000):
+        n = rng.randint(2, 4)
+        m = [[rng.randint(1, 3) if i == j else 0 for j in range(n)] for i in range(n)]
+        m = _random_unimodular_ops(rng, m)
+        if any(abs(v) > 50 for row in m for v in row):
+            continue
+        before = len(reruns)
+        try:
+            factors = smith_normal_form(m)
+        except OverflowLimitError:
+            assert abs(det_bruteforce(m)) > 50
+            continue
+        _assert_prefixes_are_gcds_of_minors(m, factors)
+        answered_by_rerun += len(reruns) > before
+    assert answered_by_rerun >= 50
+
+
+@pytest.mark.parametrize("matrix, why", [
+    ([[4, -7, 7], [0, 6, 3], [0, -8, -4]], "singular"),
+    ([[8, -4], [-2, 9]], "determinant 64 beyond the guard"),
+])
+def test_snf_beyond_the_guard_without_a_usable_determinant_raises(restore_limit, monkeypatch,
+                                                                  matrix, why):
+    expected = smith_normal_form(matrix)
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "60")
+    refresh_int_limit()
+    with pytest.raises(OverflowLimitError, match="exceeds the integer guard 60"):
+        smith_normal_form(matrix)
+    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
+    refresh_int_limit()
+    assert smith_normal_form(matrix) == expected
 
 
 def test_int_guard(restore_limit, monkeypatch):

@@ -1,9 +1,20 @@
 import random
+from math import gcd
 
-from helpers import apply_random_moves, det_bruteforce, lens_parameters
+from helpers import (
+    apply_random_moves,
+    deadline,
+    det_bruteforce,
+    first_homology_by_presentation,
+    lens_parameters,
+)
 
+import lensfib.exact_arith
 from lensfib import (
     LensSpace,
+    OverflowLimitError,
+    SeifertFibration,
+    SeifertPair,
     construct_fibration,
     fibration,
     first_homology,
@@ -144,6 +155,60 @@ def test_first_homology_invariance():
         for _ in range(25):
             moved = apply_random_moves(rng, f, rng.randint(1, 6))
             assert first_homology(moved) == expected
+
+
+def _random_lists(seed: int, count: int):
+    """Invariant lists of genus -4..3 with 0-4 pairs, entries up to 40."""
+    rng = random.Random(seed)
+    while count:
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            alpha = rng.choice((-1, 1)) * rng.randint(1, 40)
+            beta = rng.randint(-40, 40)
+            if gcd(alpha, beta) == 1:
+                pairs.append(SeifertPair(alpha, beta))
+        yield SeifertFibration(rng.randint(-4, 3), tuple(pairs))
+        count -= 1
+
+
+def test_first_homology_matches_whole_presentation_on_random_lists():
+    """The genus-independent block agrees with the Smith form of the whole
+    abelianised presentation wherever that finishes, and never overflows."""
+    compared = overflowed = 0
+    for f in _random_lists(2024, 20_000):
+        got = first_homology(f)
+        try:
+            expected = first_homology_by_presentation(f)
+        except OverflowLimitError:
+            overflowed += 1
+            continue
+        assert got == expected, f
+        compared += 1
+    # The whole matrix overflows on some lists the block finishes.
+    assert overflowed > 0 and compared + overflowed == 20_000
+
+
+def test_first_homology_of_lists_whose_whole_matrix_outgrows_the_guard(monkeypatch):
+    singular = parse("M(-2;(14,31),(-26,-51),(26,27),(5,-22))")
+    assert first_homology(singular) == (2, 26, 3640, 0)
+    assert first_homology(parse("M(-1;(31,-27),(-31,-34),(-39,-2),(-33,-5))")) == (186, 26598)
+    # This block trips the guard in the plain pass, so the answer comes from
+    # the rerun modulo its determinant.
+    reruns = []
+    determinant = lensfib.exact_arith._abs_determinant
+    monkeypatch.setattr(lensfib.exact_arith, "_abs_determinant",
+                        lambda m: reruns.append([row[:] for row in m]) or determinant(m))
+    fib = parse("M(-1;(-20,13),(-38,33),(35,-16),(27,2))")
+    assert first_homology(fib) == (10, 287280)
+    assert len(reruns) == 1 and abs(det_bruteforce(reruns[0])) == 10 * 287280
+
+
+def test_first_homology_cost_does_not_grow_with_the_genus():
+    with deadline(2):
+        non_orientable = first_homology(parse("M(-1600;(2,1))"))
+        orientable = first_homology(parse("M(1600;(2,1))"))
+    assert non_orientable == (8,) + (0,) * 1599
+    assert orientable == (0,) * 3200
 
 
 def test_base_orbifold():
