@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -28,9 +27,8 @@ from typing import Callable, Iterable, NamedTuple
 from . import classify as classify_mod
 from . import construct as construct_mod
 from . import pi1 as pi1_mod
-from . import exact_arith
 from .errors import DomainError, InvalidRangeError, OverflowLimitError
-from .exact_arith import check_magnitude, refresh_int_limit
+from .exact_arith import check_magnitude, read_int, refresh_int_limit
 from .recognize import LensSpace, lens_normalize, recognize
 from .seifert import (
     CanonicalForm,
@@ -43,27 +41,16 @@ from .seifert import (
 )
 
 
-_DIGITS = re.compile(r"\s*[+-]?0*(\d+)\s*")
-
-
-def _integer(text: str) -> int:
-    """``int(text)``, refusing first, by its length, an integer with more than
-    twice the guard's digits: ``int`` is slow on it or raises a ValueError."""
-    digits = _DIGITS.fullmatch(text)
-    if digits and len(digits[1]) > 2 * len(str(exact_arith._int_limit)):
-        raise OverflowLimitError(f"a {len(digits[1])}-digit integer exceeds the integer "
-                                 f"guard {exact_arith._int_limit}")
-    return int(text)
-
-
 def _int_text(text: str) -> str:
     """The argparse ``type`` of an integer option, with the usage error of
-    ``type=int``; :func:`_integer` reads it after parsing, as a DomainError."""
-    if not _DIGITS.fullmatch(text):
-        try:
-            int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    ``type=int``; the text is read again after parsing, where the guard's
+    refusal of a long integer is a DomainError."""
+    try:
+        read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except OverflowLimitError:
+        pass
     return text
 
 
@@ -74,7 +61,7 @@ def _int_pair(text: str, flag: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise InvalidRangeError(f"{flag} must be two comma-separated integers, got {text!r}")
     try:
-        first, second = _integer(parts[0]), _integer(parts[1])
+        first, second = read_int(parts[0]), read_int(parts[1])
     except ValueError as exc:
         raise InvalidRangeError(f"{flag} must be integers, got {text!r}") from exc
     check_magnitude(first, second)
@@ -108,7 +95,7 @@ _PAIR = _pair("M1,M2", lambda a, b: (a, b), list)
 _MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights, lambda w: [w.k1, w.k2])
 _FIBRATION = Argument({}, lambda text, flag: parse(text), lambda fib: unparse(fib))
 _TEXT = Argument({}, _same, _same)
-_INT = Argument({"required": True, "type": _int_text}, lambda text, flag: _integer(text), _same)
+_INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_int(text), _same)
 
 
 # Payloads keep the library's tuples, which json.dumps writes as arrays.
@@ -325,16 +312,14 @@ def _fail(args: argparse.Namespace, message: str, code: int) -> int:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = argparse.Namespace()
+    args = argparse.Namespace(json=False, command=None)
     try:
         parser.parse_args(_join_signed_pairs(argv), args)
     except _UsageError as exc:
         failed, message = exc.args
-        if not getattr(args, "json", False):
+        if not args.json:
             argparse.ArgumentParser.error(failed, message)
-        print(json.dumps({"command": getattr(args, "command", None),
-                          "status": "error", "error": message}))
-        raise SystemExit(2) from None
+        raise SystemExit(_fail(args, message, 2)) from None
     command = COMMANDS[args.command]
     values, echo = {}, {}
     try:

@@ -94,7 +94,7 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     return GluingChoice(r, s)
 
 
-def _recipe(p: int, s: int, a10: int, a20: int, u: int, beta_shift: int = 0):
+def _recipe(p: int, s: int, a10: int, a20: int, u: int):
     """The recipe's integers (alpha, alpha1, alpha2, alpha1', beta1, beta1',
     beta2) for p >= 1, q*s = 1 (mod p), coprime non-zero weights and
     u = gcd(p, s*a10 - a20).  It checks only beta1', which no pair holds,
@@ -104,8 +104,6 @@ def _recipe(p: int, s: int, a10: int, a20: int, u: int, beta_shift: int = 0):
     alpha2 = alpha * a20
     alpha1_prime = (s * a10 - a20) // u
     beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
-    beta1 += beta_shift * alpha1
-    beta1_prime += beta_shift * alpha1_prime
     beta2 = -s * beta1 + p * beta1_prime
 
     assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
@@ -113,21 +111,8 @@ def _recipe(p: int, s: int, a10: int, a20: int, u: int, beta_shift: int = 0):
     return alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2
 
 
-def construct_fibration(
-    lens: LensSpace,
-    a10: int,
-    a20: int,
-    *,
-    s_shift: int = 0,
-    beta_shift: int = 0,
-) -> Construction:
-    """Fibration of ``lens`` with prescribed coprime weight pair (a10, a20).
-
-    ``s_shift`` replaces s by s + s_shift*p (with r adjusted) and
-    ``beta_shift`` replaces (beta1, beta1') by (beta1 + k*alpha1,
-    beta1' + k*alpha1'); both leave the isomorphism class unchanged and
-    exist so that this independence can be tested directly.
-    """
+def construct_fibration(lens: LensSpace, a10: int, a20: int) -> Construction:
+    """Fibration of ``lens`` with prescribed coprime weight pair (a10, a20)."""
     p, q = lens.p, lens.q
     if p < 1:
         raise InvalidRangeError(
@@ -139,10 +124,8 @@ def construct_fibration(
         raise NotCoprimeError(f"gcd({a10}, {a20}) != 1")
 
     r, s = gluing_choice(p, q)
-    s += s_shift * p
-    r -= s_shift * q
     u = gcd(p, s * a10 - a20)
-    trace = ConstructionTrace(u, *_recipe(p, s, a10, a20, u, beta_shift), r, s)
+    trace = ConstructionTrace(u, *_recipe(p, s, a10, a20, u), r, s)
     fib = SeifertFibration(0, (SeifertPair(trace.alpha1, trace.beta1),
                                SeifertPair(trace.alpha2, trace.beta2)))
     return Construction(fib, trace)

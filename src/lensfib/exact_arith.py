@@ -9,6 +9,7 @@ loudly.  Each function here checks its arguments against it, and Smith
 normal form its entries after each pivot.  Where that trips on a square
 matrix with nonzero determinant D, the same elimination reruns with entries
 kept modulo D; a singular matrix, or a D beyond the guard, still raises.
+:func:`read_int` reads integer text, refusing one too long to convert.
 The threshold defaults to 2**62 and can be lowered for testing through the
 ``SEIFERT_MAX_INT_GUARD`` environment variable.
 """
@@ -16,6 +17,7 @@ The threshold defaults to 2**62 and can be lowered for testing through the
 from __future__ import annotations
 
 import os
+import re
 from math import gcd, lcm
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
@@ -58,6 +60,23 @@ def check_magnitude(*values: int) -> None:
     for v in values:
         if v > limit or -v > limit:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
+
+
+_DIGITS = re.compile(r"\s*[+-]?0*(\d+)\s*")
+
+
+def read_int(text: str) -> int:
+    """``int(text)``, refusing first, by its length, an integer with more than
+    twice the guard's digits, on which ``int`` is slow or raises a
+    ValueError.  The raw length is tested before the regex, so that ordinary
+    text never meets it; the value of shorter text is checked where used."""
+    most = 2 * len(str(_int_limit))
+    if len(text) > most:
+        digits = _DIGITS.fullmatch(text)
+        if digits and len(digits[1]) > most:
+            raise OverflowLimitError(f"a {len(digits[1])}-digit integer exceeds the "
+                                     f"integer guard {_int_limit}")
+    return int(text)
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -29,7 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import exact_arith
 from .errors import (
     FibrationParseError,
     InapplicableMoveError,
@@ -37,7 +36,7 @@ from .errors import (
     OverflowLimitError,
     ZeroAlphaError,
 )
-from .exact_arith import check_magnitude
+from .exact_arith import check_magnitude, read_int
 
 
 class SeifertPair(NamedTuple):
@@ -235,7 +234,6 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.guard_digits = len(str(exact_arith._int_limit))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -256,13 +254,12 @@ class _Scanner:
         m = _INT_RE.match(self.text, self.pos)
         if m is None:
             raise FibrationParseError("expected an integer", self.pos)
-        # Checked before int(), which raises a plain ValueError on a long token.
-        digits = len(m.group().lstrip("-0"))
-        if digits > self.guard_digits:
-            raise OverflowLimitError(f"a {digits}-digit integer exceeds the integer guard "
-                                     f"{exact_arith._int_limit} (at position {self.pos})")
+        try:
+            value = read_int(m.group())
+        except OverflowLimitError as exc:
+            raise OverflowLimitError(f"{exc} (at position {self.pos})") from None
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def end(self) -> None:
         self.skip_ws()

@@ -17,9 +17,11 @@ from lensfib import (
     normalize,
     recognize,
 )
-from lensfib.construct import construct_s2xs1
-from lensfib.exact_arith import smith_normal_form
+from lensfib import construct
+from lensfib.construct import GluingChoice, construct_s2xs1, gluing_choice
+from lensfib.exact_arith import smith_normal_form, unimodular_complement
 from lensfib.pi1 import presentation
+from lensfib.recognize import lens_normalize
 from lensfib.seifert import (
     delete_trivial,
     flip_signs,
@@ -117,6 +119,55 @@ def variants(lens, m1: int, m2: int) -> tuple:
     (m2, m1) and (m2, -m1), the four that ``classify_pair`` compares."""
     return tuple(construct_fibration(lens, *weights).fibration
                  for weights in ((m1, m2), (m1, -m2), (m2, m1), (m2, -m1)))
+
+
+def other_choices(monkeypatch, s_shift: int, beta_shift: int) -> None:
+    """Make ``construct_fibration`` take other admissible choices: s + s_shift*p
+    for the inverse s of q mod p (with r adjusted), and (beta1 + k*alpha1,
+    beta1' + k*alpha1') with k = beta_shift for the unimodular completion.
+    The paper's construction gives isomorphic fibrations for every choice.
+    Each call shifts the original choices, not those of an earlier call."""
+
+    def shifted_choice(p, q):
+        r, s = gluing_choice(p, q)
+        return GluingChoice(r - s_shift * q, s + s_shift * p)
+
+    def shifted_complement(alpha, alpha_prime):
+        beta, beta_prime = unimodular_complement(alpha, alpha_prime)
+        return beta + beta_shift * alpha, beta_prime + beta_shift * alpha_prime
+
+    monkeypatch.setattr(construct, "gluing_choice", shifted_choice)
+    monkeypatch.setattr(construct, "unimodular_complement", shifted_complement)
+
+
+def hirzebruch_jung(n: int, d: int) -> list[int]:
+    """The expansion n/d = c1 - 1/(c2 - 1/(... - 1/ck)), every c >= 2, for
+    n > d > 0."""
+    expansion = []
+    while d:
+        c = -(-n // d)
+        expansion.append(c)
+        n, d = d, c * d - n
+    return expansion
+
+
+def lens_by_plumbing(f: SeifertFibration):
+    """The oriented lens type of a genus-0 list with at most two singular
+    fibres, read off the linear plumbing it bounds (Neumann, Trans. AMS 268,
+    1981).  From the canonical form (b; (alpha1, r1), (alpha2, r2)) each arm
+    is the expansion of alpha/(alpha - r) and the centre weight is b + n for
+    n stored pairs.  The chain reversed(arm1) + [b + n] + arm2 has continuant
+    p, and without its first entry continuant q.  An oracle for
+    ``recognize``: no determinant formula, complement or gluing choice."""
+    cf = normalize(f)
+    assert cf.genus == 0 and len(cf.pairs) <= 2, cf
+    arms = [hirzebruch_jung(alpha, alpha - r) for alpha, r in cf.pairs] + [[], []]
+    chain = arms[0][::-1] + [cf.b + len(cf.pairs)] + arms[1]
+    # Continuants from the last entry back: K(e, rest) = e*K(rest) - K(rest[1:]).
+    rest, whole = 0, 1
+    for e in reversed(chain):
+        rest, whole = whole, e * whole - rest
+    return lens_normalize(whole, rest)
 
 
 def isotropy_order_oracle(lens, weights) -> int:

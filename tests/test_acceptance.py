@@ -13,7 +13,9 @@ from helpers import (
     apply_random_moves,
     coprime_pairs,
     isotropy_order_oracle,
+    lens_by_plumbing,
     lens_parameters,
+    other_choices,
     variants,
 )
 
@@ -67,7 +69,8 @@ def unoriented_match(fib, closed_form):
 
 @pytest.fixture(scope="module")
 def construct_sweep():
-    """Every construction for p <= 50, all q, all coprime |weights| <= 12."""
+    """Every construction for p <= 50, all q, all coprime |weights| <= 12,
+    recognised by ``recognize`` and by the plumbing oracle."""
     produced = {}
     violations = []
     count = 0
@@ -80,6 +83,8 @@ def construct_sweep():
                 violations.append((p, q, a10, a20, "output contract"))
             if not lens_equal_oriented(recognize(fib), lens):
                 violations.append((p, q, a10, a20, "round trip"))
+            if not lens_equal_oriented(lens_by_plumbing(fib), lens):
+                violations.append((p, q, a10, a20, "plumbing oracle"))
             key = (a1, b1, a2, b2)
             if produced.setdefault(key, p) != p:
                 violations.append((p, q, a10, a20, "pairs reused across p"))
@@ -194,7 +199,7 @@ def test_criterion_3_construct_recognize_round_trip(construct_sweep):
     _ok(3, f"{construct_sweep['count']} constructions round-tripped")
 
 
-def test_criterion_4_choice_independence():
+def test_criterion_4_choice_independence(monkeypatch):
     rng = random.Random(44)
     lenses = list(lens_parameters(40))
     done = 0
@@ -208,7 +213,9 @@ def test_criterion_4_choice_independence():
         ks = rng.randint(-5, 5)
         kb = rng.randint(-5, 5)
         base = canon(construct_fibration(lens, a10, a20).fibration)
-        shifted = construct_fibration(lens, a10, a20, s_shift=ks, beta_shift=kb)
+        with monkeypatch.context() as patch:
+            other_choices(patch, ks, kb)
+            shifted = construct_fibration(lens, a10, a20)
         assert canon(shifted.fibration) == base, (p, q, a10, a20, ks, kb)
         done += 1
     _ok(4, "1000 perturbed constructions, identical canonical forms")

@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from helpers import deadline
 
-from lensfib import cli, parse, unparse
+from lensfib import cli, parse, refresh_int_limit, unparse
 from lensfib.cli import run
 
 
@@ -271,6 +272,32 @@ def test_env_guard(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("normalize", "M(0;(1234,1))"), "|1234| exceeds the integer guard 50"),
+    (("normalize", "M(0;(12345,1))"),
+     "a 5-digit integer exceeds the integer guard 50 (at position 5)"),
+    (("construct", "--lens", "1234,1", "--weights", "1,2"), "|1234| exceeds the integer guard 50"),
+    (("construct", "--lens", "12345,1", "--weights", "1,2"),
+     "a 5-digit integer exceeds the integer guard 50"),
+    (("enumerate", "--lens", "7,2", "--max-mult", "-12345"),
+     "a 5-digit integer exceeds the integer guard 50"),
+], ids=["parser-value", "parser-length", "pair-value", "pair-length", "option-length"])
+def test_env_guard_reads_integer_text(capsys, monkeypatch, argv, message):
+    """The parser and the CLI refuse integer text at the same length, twice the
+    guard's digits, and name a shorter integer beyond the guard by its value."""
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
+    try:
+        text_mode = invoke(capsys, *argv)
+        json_mode = invoke(capsys, "--json", *argv)
+    finally:
+        monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
+        refresh_int_limit()
+    assert text_mode == (1, "", f"error: {message}\n")
+    code, out, err = json_mode
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
+
+
 @pytest.mark.parametrize("lens", ["0,1", "1,0", "4,1", "97,5"])
 def test_enumerate_max_mult_beyond_guard(capsys, lens):
     argv = ("enumerate", f"--lens={lens}", f"--max-mult={2**62 + 1}")
@@ -293,9 +320,13 @@ def test_enumerate_max_mult_beyond_guard(capsys, lens):
     (("classify", "--lens", f"7,{10 * 2**62}", "--pair", "1,2"), 10 * 2**62),
     (("construct", "--lens", f"7,{2**70}", "--weights", "5,2"), 2**70),
     (("construct", "--lens", "7,2", "--weights", f"{2**70 + 1},2"), 2**70 + 1),
+    (("normalize", f"M(0;({2**70 + 1},1))"), 2**70 + 1),
+    (("normalize", f"M(0;(1,{-10**37}))"), -10**37),
+    (("construct", "--lens", f"{10**37},2", "--weights", "1,2"), 10**37),
 ])
 def test_lens_and_model_weights_beyond_guard(capsys, argv, value):
-    """Any integer of a pair beyond the guard is named, not a value computed from it."""
+    """Any integer of a pair or an invariant list beyond the guard, with up to
+    twice the guard's digits, is named, not a value computed from it."""
     message = f"|{value}| exceeds the integer guard {2**62}"
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -305,14 +336,18 @@ def test_lens_and_model_weights_beyond_guard(capsys, argv, value):
 
 
 @pytest.mark.parametrize("max_str_digits", [4300, 0])
-@pytest.mark.parametrize("command", ["normalize", "parse-check"])
-def test_over_long_integer_is_domain_error(capsys, command, max_str_digits):
-    """An integer with more digits than the guard is refused before ``int``
-    reads it, whatever limit Python sets on converting integer text."""
+@pytest.mark.parametrize("command, digits", [
+    pytest.param("normalize", 5000, id="normalize"),
+    pytest.param("parse-check", 5000, id="parse-check"),
+    pytest.param("normalize", 39, id="normalize-39-digits"),
+])
+def test_over_long_integer_is_domain_error(capsys, command, digits, max_str_digits):
+    """An integer with more than twice the guard's digits is refused before
+    ``int`` reads it, whatever limit Python sets on converting integer text."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python sets no limit on integer text")
-    argv = (command, f"M(0;({'7' * 5000},1))")
-    message = f"a 5000-digit integer exceeds the integer guard {2**62} (at position 5)"
+    argv = (command, f"M(0;({'7' * digits},1))")
+    message = f"a {digits}-digit integer exceeds the integer guard {2**62} (at position 5)"
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(max_str_digits)
     try:
@@ -332,13 +367,16 @@ def test_over_long_integer_is_domain_error(capsys, command, max_str_digits):
     ("isotropy", "--lens", "7,2", "--weights", "-" + "7" * 5000 + ",1"),
     ("enumerate", "--lens", "7,2", "--max-mult", "7" * 5000),
     ("enumerate", "--lens", "7,2", "--max-mult=-" + "7" * 5000),
+    ("construct", "--lens", "7," + "7" * 39, "--weights", "1,2"),
+    ("enumerate", "--lens", "7,2", "--max-mult", "7" * 39),
 ])
 def test_over_long_integer_option_is_domain_error(capsys, argv, max_str_digits):
-    """An option's integer with far more digits than the guard is refused by
-    its length, before ``int`` reads it, and its digits are not echoed."""
+    """An option's integer with more than twice the guard's digits is refused
+    by its length, before ``int`` reads it, and its digits are not echoed."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python sets no limit on integer text")
-    message = f"a 5000-digit integer exceeds the integer guard {2**62}"
+    digits = max(map(len, re.findall(r"\d+", " ".join(argv))))
+    message = f"a {digits}-digit integer exceeds the integer guard {2**62}"
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(max_str_digits)
     try:

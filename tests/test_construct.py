@@ -3,7 +3,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters
+from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters, other_choices
 
 from lensfib import (
     InvalidRangeError,
@@ -106,7 +106,7 @@ def test_construct_errors():
         construct_fibration(LensSpace(0, 1), 1, 1)
 
 
-def test_choice_independence():
+def test_choice_independence(monkeypatch):
     rng = random.Random(31)
     for _ in range(120):
         p = rng.randint(1, 30)
@@ -117,10 +117,14 @@ def test_choice_independence():
             a20 = rng.choice([-1, 1]) * rng.randint(1, 8)
             if gcd(a10, a20) == 1:
                 break
-        base = canon(construct_fibration(lens, a10, a20).fibration)
+        base_fib, base_trace = construct_fibration(lens, a10, a20)
+        base = canon(base_fib)
         ks = rng.randint(-5, 5)
         kb = rng.randint(-5, 5)
-        shifted = construct_fibration(lens, a10, a20, s_shift=ks, beta_shift=kb)
+        with monkeypatch.context() as patch:
+            other_choices(patch, ks, kb)
+            shifted = construct_fibration(lens, a10, a20)
+        assert shifted.trace.s == base_trace.s + ks * p
         assert canon(shifted.fibration) == base
 
 
@@ -244,29 +248,30 @@ def test_no_recipe_value_escapes_the_guard(monkeypatch):
     construction is unchanged, and one below it the construction raises."""
     weights = [(a10, a20) for a10 in range(-6, 7) for a20 in range(-6, 7)
                if a10 and a20 and gcd(a10, a20) == 1]
-    calls = [(p, q, a10, a20, {"beta_shift": k})
-             for (p, q), (a10, a20), k in product(lens_parameters(25), weights, (0, 2))]
+    cases = [(p, q, a10, a20) for (p, q), (a10, a20) in product(lens_parameters(25), weights)]
     # Only with s shifted is beta1', which no pair holds, the largest value.
-    calls.append((7, 2, 5, 2, {"s_shift": 1, "beta_shift": 1}))
+    runs = [((0, 0), cases), ((0, 2), cases), ((1, 1), [(7, 2, 5, 2)])]
 
-    def build(guard, p, q, a10, a20, shifts):
+    def build(guard, p, q, a10, a20):
         monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(guard))
         refresh_int_limit()
-        return construct_fibration(LensSpace(p, q), a10, a20, **shifts)
+        return construct_fibration(LensSpace(p, q), a10, a20)
 
     checked = 0
     try:
-        for call in calls:
-            built = build(2**62, *call)
-            tr = built.trace
-            m = max(abs(v) for v in (*call[:2], tr.alpha1, tr.alpha2, tr.alpha1_prime,
-                                     tr.beta1, tr.beta1_prime, tr.beta2))
-            if m == 1:
-                continue
-            assert build(m, *call) == built
-            with pytest.raises(OverflowLimitError):
-                build(m - 1, *call)
-            checked += 1
+        for shifts, calls in runs:
+            other_choices(monkeypatch, *shifts)
+            for call in calls:
+                built = build(2**62, *call)
+                tr = built.trace
+                m = max(abs(v) for v in (*call[:2], tr.alpha1, tr.alpha2, tr.alpha1_prime,
+                                         tr.beta1, tr.beta1_prime, tr.beta2))
+                if m == 1:
+                    continue
+                assert build(m, *call) == built
+                with pytest.raises(OverflowLimitError):
+                    build(m - 1, *call)
+                checked += 1
     finally:
         monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
         refresh_int_limit()

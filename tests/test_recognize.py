@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import apply_random_moves, lens_parameters
+from helpers import apply_random_moves, lens_by_plumbing, lens_parameters, random_pair
 
 from lensfib import (
     DomainError,
@@ -70,6 +70,32 @@ def test_recognize_examples():
     assert recognize(parse("M(0;)")) == LensSpace(0, 1)
     assert recognize(parse("M(0;(2,1),(2,-1))")) == LensSpace(0, 1)
     assert recognize(parse("M(0;(1,7))")) == LensSpace(7, 1)
+
+
+def test_plumbing_oracle_examples():
+    """Hand-worked chains: M(0;(1,7)) is the chain [7]; M(0;(3,-1),(3,2))
+    has b = -1 and two arms [3], so its chain is [3, 1, 3], with continuants
+    3 and 2; M(0;(5,4),(5,-3)) gives [3, 2, 1, 5], with 5 and 3."""
+    assert lens_by_plumbing(parse("M(0;(1,7))")) == LensSpace(7, 1)
+    assert lens_by_plumbing(parse("M(0;(3,-1),(3,2))")) == LensSpace(3, 2)
+    assert lens_by_plumbing(parse("M(0;(5,4),(5,-3))")) == LensSpace(5, 3)
+    assert lens_by_plumbing(parse("M(0;)")) == LensSpace(0, 1)
+    assert lens_by_plumbing(parse("M(0;(2,1),(2,-1))")) == LensSpace(0, 1)
+
+
+def test_recognize_matches_plumbing_oracle():
+    """On 20,000 seeded genus-0 lists with at most two singular fibres,
+    ``recognize`` gives the oriented type that the plumbing chain gives.
+    On the lists whose lens is not its own reverse this pins orientation."""
+    rng = random.Random(2)
+    chiral = 0
+    for _ in range(20_000):
+        pairs = [random_pair(rng, 40) for _ in range(rng.randint(0, 2))]
+        f = fibration(0, *pairs, (1, rng.randint(-6, 6)))
+        lens = lens_by_plumbing(f)
+        assert lens_equal_oriented(recognize(f), lens), f
+        chiral += not lens_equal_oriented(lens, lens_reverse(lens))
+    assert chiral == 17_080
 
 
 def test_recognize_rejections():
