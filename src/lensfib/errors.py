@@ -64,6 +64,5 @@ class NotLensSpaceError(DomainError):
         self.reason = reason
 
 
-class PredictionMismatchError(DomainError, RuntimeError):
-    """Internal consistency failure: a census count disagrees with the
-    number-theoretic prediction.  Signals an implementation bug."""
+class PredictionMismatchError(RuntimeError):
+    """A census count disagrees with its prediction: a bug, so the CLI exits 3."""

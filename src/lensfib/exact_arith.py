@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import suppress
 from math import gcd, lcm
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
@@ -26,32 +27,25 @@ _GUARD_ENV = "SEIFERT_MAX_INT_GUARD"
 _DEFAULT_LIMIT = 2**62
 
 
-def _read_limit_from_env() -> int:
-    raw = os.environ.get(_GUARD_ENV)
-    if raw is None:
-        return _DEFAULT_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise InvalidRangeError(f"{_GUARD_ENV} must be an integer, got {raw!r}") from exc
-    if limit < 1:
-        raise InvalidRangeError(f"{_GUARD_ENV} must be positive, got {limit}")
-    return limit
-
-
-try:
-    _int_limit = _read_limit_from_env()
-except InvalidRangeError:
-    # Importing never fails; a bad value is reported where it is re-read,
-    # by refresh_int_limit (the CLI re-reads it on every run).
-    _int_limit = _DEFAULT_LIMIT
-
-
 def refresh_int_limit() -> int:
-    """Re-read the guard threshold from the environment (used by the CLI)."""
+    """Re-read the guard from the environment; the CLI does on every run.
+    The guard can only be lowered: a value, read under the default guard,
+    that is not an integer from 1 to 2**62 raises InvalidRangeError and
+    leaves the default in force."""
     global _int_limit
-    _int_limit = _read_limit_from_env()
-    return _int_limit
+    _int_limit = _DEFAULT_LIMIT
+    raw = os.environ.get(_GUARD_ENV)
+    try:
+        limit = _DEFAULT_LIMIT if raw is None else read_int(raw)
+    except ValueError:
+        raise InvalidRangeError(f"{_GUARD_ENV} must be an integer, got {raw!r}") from None
+    except OverflowLimitError:
+        limit = 0
+    if not 1 <= limit <= _DEFAULT_LIMIT:
+        raise InvalidRangeError(f"{_GUARD_ENV} must be an integer from 1 to 2**62; "
+                                "the guard can only be lowered")
+    _int_limit = limit
+    return limit
 
 
 def check_magnitude(*values: int) -> None:
@@ -62,21 +56,30 @@ def check_magnitude(*values: int) -> None:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
 
 
-_DIGITS = re.compile(r"\s*[+-]?0*(\d+)\s*")
+_DIGITS = re.compile(r"\s*([+-]?)0*(\d+)\s*")
 
 
 def read_int(text: str) -> int:
-    """``int(text)``, refusing first, by its length, an integer with more than
-    twice the guard's digits, on which ``int`` is slow or raises a
-    ValueError.  The raw length is tested before the regex, so that ordinary
-    text never meets it; the value of shorter text is checked where used."""
+    """``int(text)``, refusing first, by its length, an integer with more
+    significant digits than twice the guard's, on which ``int`` is slow or
+    raises a ValueError.  Only text longer than that meets the regex, and
+    is converted from its sign and significant digits, so leading zeros
+    never count.  The value of shorter text is checked where used."""
     most = 2 * len(str(_int_limit))
     if len(text) > most:
-        digits = _DIGITS.fullmatch(text)
-        if digits and len(digits[1]) > most:
-            raise OverflowLimitError(f"a {len(digits[1])}-digit integer exceeds the "
-                                     f"integer guard {_int_limit}")
+        match = _DIGITS.fullmatch(text)
+        if match:
+            sign, digits = match.groups()
+            if len(digits) > most:
+                raise OverflowLimitError(f"a {len(digits)}-digit integer exceeds the "
+                                         f"integer guard {_int_limit}")
+            text = sign + digits
     return int(text)
+
+
+# Importing never fails; the CLI reports a bad value when it re-reads it.
+with suppress(InvalidRangeError):
+    refresh_int_limit()
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -84,8 +87,6 @@ def mod_inverse(a: int, m: int) -> int:
     check_magnitude(a, m)
     if m < 1:
         raise InvalidRangeError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 0
     g = gcd(a, m)
     if g != 1:
         raise NotCoprimeError(f"{a} is not invertible modulo {m} (gcd = {g})")

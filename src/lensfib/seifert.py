@@ -27,6 +27,7 @@ from math import gcd
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -225,69 +226,47 @@ def isomorphism_type(f1: SeifertFibration, f2: SeifertFibration) -> IsoType:
 #   fibration := "M(" integer ";" [ pair { "," pair } ] ")"
 #   pair      := "(" integer "," integer ")"
 #
-# Whitespace is ignored everywhere; the canonical text uses none.
+# Whitespace is ignored everywhere; the canonical text uses none.  _TOKEN cuts
+# the text into integers (group 1) and single other characters, then an empty
+# token at len(text); parse walks them once against the token sequences the
+# grammar expects: "M ( int ;", pairs "( int , int )" separated by commas, then
+# ")" and the end.  The first token that differs gives the error's position.
 
-_INT_RE = re.compile(r"-?\d+")
+_TOKEN = re.compile(r"(-?\d+)|\S|\Z")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise FibrationParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def peek(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = _INT_RE.match(self.text, self.pos)
-        if m is None:
-            raise FibrationParseError("expected an integer", self.pos)
-        try:
-            value = read_int(m.group())
-        except OverflowLimitError as exc:
-            raise OverflowLimitError(f"{exc} (at position {self.pos})") from None
-        self.pos = m.end()
-        return value
-
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise FibrationParseError("trailing input", self.pos)
+def _walk(tokens, *expected) -> list[int]:
+    """Check the next tokens against ``expected``, each a character, ``int``
+    for an integer or ``""`` for the end, and return the integers read."""
+    values = []
+    for want, token in zip(expected, tokens):
+        if want is not int:
+            if token[0] != want:
+                message = f"expected {want!r}" if want else "trailing input"
+                raise FibrationParseError(message, token.start())
+        elif token[1] is None:
+            raise FibrationParseError("expected an integer", token.start())
+        else:
+            try:
+                values.append(read_int(token[1]))
+            except OverflowLimitError as exc:
+                raise OverflowLimitError(f"{exc} (at position {token.start()})") from None
+    return values
 
 
 def parse(text: str) -> SeifertFibration:
     """Parse invariant-list text such as ``M(0;(35,-2),(14,1))``."""
-    s = _Scanner(text)
-    s.expect("M")
-    s.expect("(")
-    genus = s.integer()
-    s.expect(";")
+    tokens = _TOKEN.finditer(text)
+    genus, = _walk(tokens, "M", "(", int, ";")
     pairs = []
-    if not s.peek(")"):
-        while True:
-            s.expect("(")
-            alpha = s.integer()
-            s.expect(",")
-            beta = s.integer()
-            s.expect(")")
-            pairs.append(SeifertPair(alpha, beta))
-            if not s.peek(","):
-                break
-            s.expect(",")
-    s.expect(")")
-    s.end()
+    token = next(tokens)
+    # A pair follows the ";" unless the list closes there, and follows each ",".
+    while token[0] == "," or not pairs and token[0] != ")":
+        if pairs:
+            token = next(tokens)
+        pairs.append(SeifertPair(*_walk(chain([token], tokens), "(", int, ",", int, ")")))
+        token = next(tokens)
+    _walk(chain([token], tokens), ")", "")
     return SeifertFibration(genus, tuple(pairs))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 import pytest
 from helpers import deadline
 
+from lensfib import classify as classify_mod
 from lensfib import cli, parse, refresh_int_limit, unparse
 from lensfib.cli import run
 
@@ -388,6 +390,66 @@ def test_over_long_integer_option_is_domain_error(capsys, argv, max_str_digits):
     code, out, err = json_mode
     assert code == 1 and err == "" and len(out.splitlines()) == 1
     assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
+
+
+@pytest.mark.parametrize("max_str_digits", [4300, 640])
+@pytest.mark.parametrize("argv", [
+    ("normalize", "M(0;({}7,1))"),
+    ("enumerate", "--lens", "7,2", "--max-mult", "{}7"),
+    ("construct", "--lens", "{}7,2", "--weights", "5,2"),
+], ids=["invariant-list", "max-mult", "lens"])
+def test_leading_zeros_never_count(capsys, argv, max_str_digits):
+    """An integer padded with 5,000 zeros reads as the unpadded one, whatever
+    limit Python sets on converting integer text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python sets no limit on integer text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        for json_mode in ((), ("--json",)):
+            padded = invoke(capsys, *json_mode, *(a.format("0" * 5000) for a in argv))
+            plain = invoke(capsys, *json_mode, *(a.format("") for a in argv))
+            assert padded == plain and plain[0] == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_guard_beyond_default_is_domain_error():
+    """The guard can only be lowered: a 3,000-digit one is refused, by one
+    envelope naming the bound, at exit 1."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "lensfib.cli", "--json", "normalize", f"M(0;({'7' * 5000},1))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, SEIFERT_MAX_INT_GUARD="9" * 3000),
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "command": "normalize",
+        "status": "error",
+        "error": "SEIFERT_MAX_INT_GUARD must be an integer from 1 to 2**62; "
+                 "the guard can only be lowered",
+    }
+
+
+@pytest.mark.parametrize("field", ["class_count", "reversing_pair_count"])
+def test_prediction_mismatch_is_program_failure(capsys, monkeypatch, field):
+    """A census that disagrees with its prediction is a fault of the program."""
+    predicted_case = classify_mod.predicted_case
+
+    def wrong(*args):
+        prediction = predicted_case(*args)
+        return dataclasses.replace(prediction, **{field: getattr(prediction, field) + 1})
+
+    monkeypatch.setattr(classify_mod, "predicted_case", wrong)
+    argv = ("classify", "--lens", "7,2", "--pair", "5,2")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("error: PredictionMismatchError: L(7,2)")
+    code, out, err = invoke(capsys, "--json", *argv)
+    assert code == 3 and err == ""
+    envelope = json.loads(out)
+    assert envelope["status"] == "error"
+    assert envelope["error"].startswith("PredictionMismatchError: L(7,2)")
 
 
 BAD_GUARD_ENVELOPE = {

@@ -44,6 +44,7 @@ def test_mod_inverse_examples():
     assert mod_inverse(2, 5) == 3
     assert mod_inverse(123456, 1) == 0
     assert mod_inverse(-1, 1) == 0
+    assert mod_inverse(0, 1) == 0
 
 
 def test_mod_inverse_random():
@@ -278,6 +279,24 @@ def test_int_guard(restore_limit, monkeypatch):
     assert refresh_int_limit() == 2**62
 
 
+@pytest.mark.parametrize("raw", [
+    str(2**62 + 1), "9" * 20, "9" * 39, "9" * 3000, "-" + "9" * 3000, "0" * 5000, "-1",
+], ids=["2**62+1", "20-nines", "39-nines", "3000-nines", "minus-3000-nines", "5000-zeros", "-1"])
+def test_guard_can_only_be_lowered(restore_limit, monkeypatch, raw):
+    """A guard beyond 2**62, or too long to read, is refused by a message that
+    names the bound and not the digits, and leaves the default in force."""
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
+    refresh_int_limit()
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", raw)
+    with pytest.raises(InvalidRangeError) as exc:
+        refresh_int_limit()
+    assert str(exc.value) == ("SEIFERT_MAX_INT_GUARD must be an integer from 1 to 2**62; "
+                              "the guard can only be lowered")
+    check_magnitude(2**62)
+    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "0" * 5000 + str(2**62))
+    assert refresh_int_limit() == 2**62
+
+
 # Prints "guard N" exactly when N is the guard in force: N passes, N + 1 fails.
 REPORT_GUARD = """
 import sys
@@ -291,7 +310,11 @@ except e.OverflowLimitError:
 """
 
 
-@pytest.mark.parametrize("raw, limit", [("55", 55), ("abc", 2**62), ("0", 2**62)])
+@pytest.mark.parametrize("raw, limit", [
+    ("55", 55), ("abc", 2**62), ("0", 2**62),
+    pytest.param(str(2**62 + 1), 2**62, id="2**62+1"),
+    pytest.param("9" * 3000, 2**62, id="3000-nines"),
+])
 def test_import_reads_guard_and_never_raises(raw, limit):
     """A valid SEIFERT_MAX_INT_GUARD applies at import; a bad one leaves the
     default in place, to be reported by refresh_int_limit."""
