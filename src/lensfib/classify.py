@@ -28,7 +28,6 @@ never oriented-isomorphic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import NamedTuple
@@ -62,8 +61,7 @@ class CaseTag(Enum):
     ONE_REVERSING_PAIR = "ii-4"
 
 
-@dataclass(frozen=True)
-class CasePrediction:
+class CasePrediction(NamedTuple):
     tag: CaseTag
     class_count: int
     reversing_pair_count: int
@@ -116,8 +114,7 @@ class ClassEntry(NamedTuple):
     orbifold: BaseOrbifold
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     lens: LensSpace
     weights: tuple[int, int]
     classes: tuple[ClassEntry, ...]
@@ -143,11 +140,8 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
             classes.append(ClassEntry(cf, weights, fib, base_orbifold(fib)))
 
     reversed_forms = [reverse_canonical(entry.canonical) for entry in classes]
-    reversing = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if classes[i].canonical == reversed_forms[j]:
-                reversing.append((i, j))
+    reversing = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))
+                 if classes[i].canonical == reversed_forms[j]]
 
     if len(classes) != prediction.class_count:
         raise PredictionMismatchError(
@@ -159,9 +153,7 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
             f"{lens} weights ({m1}, {m2}): found {len(reversing)} reversing "
             f"pairs, predicted {prediction.reversing_pair_count}"
         )
-    return ClassificationReport(
-        lens, (m1, m2), tuple(classes), tuple(reversing), prediction
-    )
+    return ClassificationReport(lens, (m1, m2), tuple(classes), tuple(reversing), prediction)
 
 
 def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:

@@ -20,8 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import classify as classify_mod
@@ -41,6 +39,11 @@ from .seifert import (
 )
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for an error message, cut after 100 characters."""
+    return repr(text) if len(text) <= 100 else f"{text[:100]!r}..."
+
+
 def _int_text(text: str) -> str:
     """The argparse ``type`` of an integer option, with the usage error of
     ``type=int``; the text is read again after parsing, where the guard's
@@ -48,7 +51,7 @@ def _int_text(text: str) -> str:
     try:
         read_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
     except OverflowLimitError:
         pass
     return text
@@ -59,13 +62,18 @@ def _int_pair(text: str, flag: str) -> tuple[int, int]:
     # DomainError into a usage error (exit 2) instead of exit 1.
     parts = text.split(",")
     if len(parts) != 2:
-        raise InvalidRangeError(f"{flag} must be two comma-separated integers, got {text!r}")
+        raise InvalidRangeError(
+            f"{flag} must be two comma-separated integers, got {_quoted(text)}")
     try:
         first, second = read_int(parts[0]), read_int(parts[1])
     except ValueError as exc:
-        raise InvalidRangeError(f"{flag} must be integers, got {text!r}") from exc
+        raise InvalidRangeError(f"{flag} must be integers, got {_quoted(text)}") from exc
     check_magnitude(first, second)
     return first, second
+
+
+def _same(value, *_):
+    return value
 
 
 class Argument(NamedTuple):
@@ -73,29 +81,25 @@ class Argument(NamedTuple):
 
     options: dict
     read: Callable[[str, str], object]
-    echo: Callable[[object], object]
+    echo: Callable[[object], object] = _same
     pair: bool = False
 
 
-def _same(value, *_):
-    return value
-
-
-def _pair(metavar: str, make: Callable, echo: Callable) -> Argument:
+def _pair(metavar: str, make: Callable) -> Argument:
     """A required ``--option A,B`` whose two integers are passed to ``make``."""
     return Argument({"required": True, "metavar": metavar},
-                    lambda text, flag: make(*_int_pair(text, flag)), echo, pair=True)
+                    lambda text, flag: make(*_int_pair(text, flag)), pair=True)
 
 
 # Library functions are called through this module's globals, never bound
 # at import, so that whatever rebinds them (a tracer) sees every call.
-_LENS = _pair("P,Q", lambda p, q: lens_normalize(p, q), lambda lens: [lens.p, lens.q])
-_WEIGHTS = _pair("A1,A2", lambda a, b: (a, b), list)
-_PAIR = _pair("M1,M2", lambda a, b: (a, b), list)
-_MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights, lambda w: [w.k1, w.k2])
+_LENS = _pair("P,Q", lambda p, q: lens_normalize(p, q))
+_WEIGHTS = _pair("A1,A2", lambda a, b: (a, b))
+_PAIR = _pair("M1,M2", lambda a, b: (a, b))
+_MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights)
 _FIBRATION = Argument({}, lambda text, flag: parse(text), lambda fib: unparse(fib))
-_TEXT = Argument({}, _same, _same)
-_INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_int(text), _same)
+_TEXT = Argument({}, _same)
+_INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_int(text))
 
 
 # Payloads keep the library's tuples, which json.dumps writes as arrays.
@@ -108,7 +112,7 @@ def _fibration_result(fib) -> dict:
     return {
         "fibration": {"genus": fib.genus, "pairs": fib.pairs, "text": unparse(fib)},
         "canonical": _canonical_json(normalize(fib)),
-        "lens": asdict(recognize(fib)),
+        "lens": recognize(fib)._asdict(),
     }
 
 
@@ -172,7 +176,8 @@ def _render_normalize(payload: dict) -> Iterable[str]:
     pairs = ",".join(str(SeifertPair(*pair)) for pair in result["pairs"]) or "-"
     yield f"canonical genus={result['genus']} b={result['b']} pairs={pairs}"
     yield f"fibration {result['fibration']}"
-    yield f"euler {Fraction(result['euler']['num'], result['euler']['den'])}"
+    num, den = result["euler"]["num"], result["euler"]["den"]
+    yield f"euler {num}" if den == 1 else f"euler {num}/{den}"
 
 
 def _render_classify(payload: dict) -> Iterable[str]:
@@ -209,7 +214,7 @@ COMMANDS: dict[str, Command] = {
         {"--lens": _LENS, "--weights": _WEIGHTS}, _construct, _render_fibration),
     "recognize": Command(
         "oriented lens type of a fibration", {"fibration": _FIBRATION},
-        lambda fibration: {"result": asdict(recognize(fibration))},
+        lambda fibration: {"result": recognize(fibration)._asdict()},
         lambda payload: [str(LensSpace(**payload["result"]))]),
     "normalize": Command(
         "canonical form of an invariant list", {"fibration": _FIBRATION},

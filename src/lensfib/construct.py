@@ -25,17 +25,12 @@ fibre is u = gcd(p, s*k2 - k1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InvalidRangeError, NotCoprimeError, ZeroWeightError
-from .exact_arith import (
-    check_magnitude,
-    mod_inverse,
-    unimodular_complement,
-)
+from .errors import Checked, InvalidRangeError, NotCoprimeError, ZeroWeightError
+from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
 from .recognize import LensSpace
 from .seifert import SeifertFibration, SeifertPair
 
@@ -67,14 +62,12 @@ class Construction(NamedTuple):
     trace: ConstructionTrace
 
 
-@dataclass(frozen=True)
-class ModelWeights:
+class ModelWeights(Checked, NamedTuple("ModelWeights", [("k1", int), ("k2", int)])):
     """Non-zero coprime weights (k1, k2) of a circle action on the 3-sphere."""
 
-    k1: int
-    k2: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         check_magnitude(self.k1, self.k2)
         if self.k1 == 0 or self.k2 == 0:
             raise ZeroWeightError("model weights must be non-zero")

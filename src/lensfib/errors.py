@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all lensfib modules.
+"""Exception hierarchy and the base of the checked value types of lensfib.
 
 Everything mathematical that can go wrong derives from ``DomainError``,
 so callers (notably the CLI) can distinguish domain failures from bugs.
@@ -66,3 +66,22 @@ class NotLensSpaceError(DomainError):
 
 class PredictionMismatchError(RuntimeError):
     """A census count disagrees with its prediction: a bug, so the CLI exits 3."""
+
+
+class Checked:
+    """Base of a named tuple whose ``_check`` runs however one is built: by
+    ``__new__``, ``_make`` and so ``_replace``, ``pickle`` or ``copy``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)

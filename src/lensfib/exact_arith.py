@@ -56,20 +56,21 @@ def check_magnitude(*values: int) -> None:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
 
 
-_DIGITS = re.compile(r"\s*([+-]?)0*(\d+)\s*")
+_DIGITS = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
 
 
 def read_int(text: str) -> int:
     """``int(text)``, refusing first, by its length, an integer with more
     significant digits than twice the guard's, on which ``int`` is slow or
-    raises a ValueError.  Only text longer than that meets the regex, and
-    is converted from its sign and significant digits, so leading zeros
-    never count.  The value of shorter text is checked where used."""
+    raises a ValueError.  Longer text that ``int`` takes meets the regex and
+    is converted from its sign and significant digits: leading zeros and
+    underscores never count.  The value of shorter text is checked where used."""
     most = 2 * len(str(_int_limit))
     if len(text) > most:
         match = _DIGITS.fullmatch(text)
         if match:
             sign, digits = match.groups()
+            digits = digits.replace("_", "").lstrip("0") or "0"
             if len(digits) > most:
                 raise OverflowLimitError(f"a {len(digits)}-digit integer exceeds the "
                                          f"integer guard {_int_limit}")

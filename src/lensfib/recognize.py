@@ -15,28 +15,27 @@ diffeomorphic after reversing one orientation iff q = -q' or q*q' = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
+    Checked,
     InvalidRangeError,
     NotCoprimeError,
     NotLensSpaceError,
     NotLensSpaceReason,
 )
 from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
-from .seifert import SeifertFibration, SeifertPair, normalize
+from .seifert import SeifertFibration, normalize
 
 
-@dataclass(frozen=True, order=True)
-class LensSpace:
+class LensSpace(Checked, NamedTuple("LensSpace", [("p", int), ("q", int)])):
     """Oriented diffeomorphism type L(p, q), stored in normalized form:
     p >= 0, and 0 <= q < p for p >= 1; L(0, 1) is the 2-sphere bundle."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         check_magnitude(self.p, self.q)
         if self.p < 0:
             raise InvalidRangeError(f"p must be >= 0, got {self.p}")
@@ -78,13 +77,10 @@ def recognize(f: SeifertFibration) -> LensSpace:
                 NotLensSpaceReason.TOO_MANY_SINGULAR_FIBRES,
                 f"{len(cf.pairs)} singular fibres",
             )
-        pairs = list(cf.pairs)
-        while len(pairs) < 2:
-            pairs.append(SeifertPair(1, 0))
-        # Fold b into the first pair; a legal shift against the (1, b) slot.
-        a1, b1 = pairs[0]
+        # Pad with (1, 0) to two pairs and fold b into the first one: a legal
+        # shift against the (1, b) slot.
+        (a1, b1), (a2, b2) = cf.pairs + ((1, 0),) * (2 - len(cf.pairs))
         b1 += cf.b * a1
-        a2, b2 = pairs[1]
         p = a1 * b2 + b1 * a2
         a2p, b2p = unimodular_complement(a2, b2)
         q = a1 * b2p + b1 * a2p

@@ -10,8 +10,8 @@ multiples of their alphas with total shift zero, and negating both entries
 of a pair.  Replacing every beta by its negative yields the orientation
 reversal.
 
-An invariant list is checked when it is built: ``SeifertFibration`` calls
-:func:`validate`, so ``parse`` raises ``NotCoprimePairError`` or
+An invariant list is checked however it is built: ``SeifertFibration``
+calls :func:`validate`, so ``parse`` raises ``NotCoprimePairError`` or
 ``ZeroAlphaError`` on a bad pair and nothing that takes a list checks it
 again.  It takes ``SeifertPair``s; :func:`fibration` takes plain tuples.
 
@@ -23,14 +23,13 @@ fingerprint per isomorphism class, which is how isomorphism is decided here.
 from __future__ import annotations
 
 import re
-from math import gcd
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
+    Checked,
     FibrationParseError,
     InapplicableMoveError,
     NotCoprimePairError,
@@ -38,6 +37,9 @@ from .errors import (
     ZeroAlphaError,
 )
 from .exact_arith import check_magnitude, read_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SeifertPair(NamedTuple):
@@ -48,14 +50,13 @@ class SeifertPair(NamedTuple):
         return f"({self.alpha},{self.beta})"
 
 
-@dataclass(frozen=True)
-class SeifertFibration:
+class SeifertFibration(Checked, NamedTuple("SeifertFibration", [
+        ("genus", int), ("pairs", tuple[SeifertPair, ...])])):
     """Invariant list M(genus; (alpha_1,beta_1), ..., (alpha_n,beta_n))."""
 
-    genus: int
-    pairs: tuple[SeifertPair, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         validate(self)
 
     def __str__(self) -> str:
@@ -193,10 +194,9 @@ def reverse_canonical(cf: CanonicalForm) -> CanonicalForm:
 
 def euler_number(f: SeifertFibration) -> Fraction:
     """-sum(beta_i / alpha_i), a move-invariant rational."""
-    total = Fraction(0)
-    for alpha, beta in f.pairs:
-        total += Fraction(beta, alpha)
-    return -total
+    from fractions import Fraction  # not at import: it loads ``decimal``
+
+    return -sum((Fraction(beta, alpha) for alpha, beta in f.pairs), Fraction(0))
 
 
 class IsoType(Enum):

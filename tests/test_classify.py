@@ -1,8 +1,16 @@
 import subprocess
 import sys
+from collections import defaultdict
+from math import gcd
 
 import pytest
-from helpers import deadline, enumerate_by_construction, lens_parameters, variants
+from helpers import (
+    coprime_pairs,
+    deadline,
+    enumerate_by_construction,
+    lens_parameters,
+    variants,
+)
 
 from lensfib import classify as classify_mod
 from lensfib import (
@@ -240,6 +248,32 @@ def test_enumerate_equals_constructor_sweep(lenses, max_mult):
         lens = LensSpace(p, q)
         expected = sorted(enumerate_by_construction(lens, max_mult))
         assert enumerate_fibrations(lens, max_mult) == expected, lens
+
+
+def test_enumeration_splits_into_the_classifications_of_its_weight_pairs():
+    """Enumeration against classification: the genus-0 classes that
+    ``enumerate_fibrations`` finds, split by weight pair, are for each
+    coprime m1 <= m2 <= N exactly the classes of ``classify_pair(L, m1, m2)``
+    with every multiplicity <= N, and no other weight pair appears.  A class's
+    weight pair is its stored multiplicities, padded with 1s to two, divided
+    by their gcd and sorted."""
+    max_mult, cells = 12, 0
+    for p, q in lens_parameters(30):
+        lens = LensSpace(p, q)
+        by_pair = defaultdict(set)
+        for cf in enumerate_fibrations(lens, max_mult):
+            if cf.genus == 0:
+                mults = [alpha for alpha, _ in cf.pairs] + [1] * (2 - len(cf.pairs))
+                by_pair[tuple(sorted(m // gcd(*mults) for m in mults))].add(cf)
+        for m1, m2 in coprime_pairs(max_mult):
+            if m1 <= m2:
+                expected = {entry.canonical for entry in classify_pair(lens, m1, m2).classes
+                            if all(alpha <= max_mult for alpha, _ in entry.canonical.pairs)}
+                assert by_pair.pop((m1, m2), set()) == expected, (lens, m1, m2)
+                cells += 1
+        assert not by_pair, (lens, sorted(by_pair))
+    # 278 lenses with 1 <= p <= 30 times 46 coprime pairs m1 <= m2 <= 12.
+    assert cells == 12_788
 
 
 SWEEP_WITH_BROKEN_COMPLEMENT = """

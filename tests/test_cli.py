@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -414,6 +413,49 @@ def test_leading_zeros_never_count(capsys, argv, max_str_digits):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.parametrize("max_str_digits", [4300, 640])
+@pytest.mark.parametrize("argv, digits", [
+    (("enumerate", "--lens", "7,2", "--max-mult", "_".join("1" * 3000)), 3000),
+    (("construct", "--lens", "_".join("1" * 5000) + ",2", "--weights", "5,2"), 5000),
+], ids=["max-mult", "lens"])
+def test_underscores_never_count(capsys, argv, digits, max_str_digits):
+    """Digits split by ``_``, which ``int`` reads, are refused by the count of
+    their digits, in one short envelope that does not repeat them."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python sets no limit on integer text")
+    message = f"a {digits}-digit integer exceeds the integer guard {2**62}"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        code, out, err = invoke(capsys, "--json", *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1 and err == "" and len(out.splitlines()) == 1 and len(out) < 300
+    assert json.loads(out) == {"command": argv[0], "status": "error", "error": message}
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (("construct", "--lens", "x" * 5000 + ",2", "--weights", "5,2"), 1,
+     "--lens must be integers, got "),
+    (("construct", "--lens", ",".join("7" * 3000), "--weights", "5,2"), 1,
+     "--lens must be two comma-separated integers, got "),
+    (("classify", "--lens", "7,2", "--pair", "1__1" * 1000 + ",2"), 1,
+     "--pair must be integers, got "),
+    (("enumerate", "--lens", "7,2", "--max-mult", "x" * 5000), 2,
+     "argument --max-mult: invalid int value: "),
+], ids=["not-digits", "many-commas", "double-underscores", "option"])
+def test_error_quotes_at_most_100_characters_of_its_input(capsys, argv, code, reason):
+    """Text that is no integer pair is quoted up to its first 100 characters."""
+    text = next(a for a in argv if len(a) > 100)
+    try:
+        got = run(["--json", *argv])
+    except SystemExit as exc:  # a usage error
+        got = exc.code
+    out = capsys.readouterr().out
+    assert got == code and len(out.splitlines()) == 1 and len(out) < 300
+    assert json.loads(out)["error"] == f"{reason}{text[:100]!r}..."
+
+
 def test_guard_beyond_default_is_domain_error():
     """The guard can only be lowered: a 3,000-digit one is refused, by one
     envelope naming the bound, at exit 1."""
@@ -439,7 +481,7 @@ def test_prediction_mismatch_is_program_failure(capsys, monkeypatch, field):
 
     def wrong(*args):
         prediction = predicted_case(*args)
-        return dataclasses.replace(prediction, **{field: getattr(prediction, field) + 1})
+        return prediction._replace(**{field: getattr(prediction, field) + 1})
 
     monkeypatch.setattr(classify_mod, "predicted_case", wrong)
     argv = ("classify", "--lens", "7,2", "--pair", "5,2")

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from helpers import det_bruteforce
+from helpers import deadline, det_bruteforce
 
 import lensfib.exact_arith
 from lensfib import OverflowLimitError
@@ -14,6 +14,7 @@ from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
     check_magnitude,
     mod_inverse,
+    read_int,
     refresh_int_limit,
     smith_normal_form,
     unimodular_complement,
@@ -295,6 +296,36 @@ def test_guard_can_only_be_lowered(restore_limit, monkeypatch, raw):
     check_magnitude(2**62)
     monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "0" * 5000 + str(2**62))
     assert refresh_int_limit() == 2**62
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1_000", 1000), (" -0_0_7 ", -7), ("0" * 5000 + "7", 7), ("+" + "0_" * 3000 + "1_2", 12),
+    ("\t" + "0" * 50 + "٣\n", 3), ("_".join("9" * 38), 10**38 - 1),
+], ids=["short", "signed-zeros", "zeros", "underscored-zeros", "unicode", "38-digits"])
+def test_read_int_reads_what_int_reads(text, value):
+    """Leading zeros and the underscores between digits never count."""
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1__1" * 20, "_" + "1" * 50, "1" * 50 + "_", "1_" * 30 + "+1", "0" * 20000 + "x",
+    " " * 20000 + "x", "1_" * 10000 + "x", "7" * 20000 + " 7",
+], ids=["double", "leading", "trailing", "inner-sign", "zeros-then-x", "spaces-then-x",
+        "underscored-then-x", "two-numbers"])
+def test_read_int_refuses_what_int_refuses_in_linear_time(text):
+    """Long text that ``int`` refuses is refused with its ValueError, at once:
+    the regex backtracks at most once per character."""
+    with deadline(0.5), pytest.raises(ValueError):
+        read_int(text)
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("_".join("1" * 39), 39), ("-" + "0_" * 100 + "_".join("7" * 3000), 3000),
+], ids=["39-digits", "3000-digits"])
+def test_read_int_counts_digits_without_underscores(text, digits):
+    with pytest.raises(OverflowLimitError) as exc:
+        read_int(text)
+    assert str(exc.value) == f"a {digits}-digit integer exceeds the integer guard {2**62}"
 
 
 # Prints "guard N" exactly when N is the guard in force: N passes, N + 1 fails.
