@@ -6,9 +6,11 @@ subcommand reparses to an equal value.  ``--json`` switches to a structured
 envelope ``{"command", "input", "result", ...}`` with deterministic key
 order; the exit code is 0 exactly when the status is ok, 1 on domain errors,
 2 on usage errors and 3 when the program itself fails (any other exception,
-such as a ``MemoryError``; its message names the exception's class).
+such as a ``MemoryError``; its message names the exception's class).  The
+console script exits 141 (128 + SIGPIPE) when its reader closes stdout early.
 
-Each subcommand is one entry of :data:`COMMANDS`.  Its arguments are read
+Each subcommand is one entry of :data:`COMMANDS`, with its own argparse
+parser; a call is parsed in one argparse pass.  Its arguments are read
 into library values, which also give the envelope's ``input``; ``compute``
 turns them into the payload of the envelope, and ``render`` turns that same
 payload into the lines of text output.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Iterable, NamedTuple
 
@@ -269,21 +272,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first call and shared by
-    every later one, since building it costs more than most commands; callers
-    must not change it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of the command line and, by name, those of its subcommands,
+    built on the first call and shared by every later one, since building
+    them costs more than most commands; callers must not change them."""
     parser = _Parser(
         prog="lensfib",
         description="Seifert fibrations of lens spaces, in exact arithmetic.",
     )
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = commands[name] = sub.add_parser(name, help=command.help)
         for flag, argument in command.arguments.items():
             p.add_argument(flag, **argument.options)
-    return parser
+    return parser, commands
 
 
 _PAIR_FLAGS = frozenset(flag for command in COMMANDS.values()
@@ -316,12 +320,28 @@ def _fail(args: argparse.Namespace, message: str, code: int) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = argparse.Namespace(json=False, command=None)
+    root, commands = build_parser()
+    argv = _join_signed_pairs(argv)
+    # One argparse pass per call: a command named after the tokens argparse
+    # reads as --json (the flag or an abbreviation such as --js) is parsed by
+    # its own parser, and any other command line by the root parser.
+    start = 0
+    while start < len(argv) and len(argv[start]) > 2 and "--json".startswith(argv[start]):
+        start += 1
+    args = argparse.Namespace(json=start > 0, command=None)
     try:
-        parser.parse_args(_join_signed_pairs(argv), args)
+        if start < len(argv) and argv[start] in commands:
+            args.command = argv[start]
+            _, extra = commands[args.command].parse_known_args(argv[start + 1:], args)
+            if extra:
+                root.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            root.parse_args(argv, args)
     except _UsageError as exc:
         failed, message = exc.args
+        for token in argv:
+            if len(token) > 100:
+                message = message.replace(token, f"{token[:100]}...")
         if not args.json:
             argparse.ArgumentParser.error(failed, message)
         raise SystemExit(_fail(args, message, 2)) from None
@@ -353,7 +373,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        try:
+            code = run(sys.argv[1:])
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as ``head`` does: exit as a shell reports a
+        # process ended by SIGPIPE (128 + 13), and let the last flush write nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -456,6 +456,28 @@ def test_error_quotes_at_most_100_characters_of_its_input(capsys, argv, code, re
     assert json.loads(out)["error"] == f"{reason}{text[:100]!r}..."
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("x" * 5000,), "argument command: invalid choice: 'xxx"),
+    (("recognize", "M(0;)", "y" * 5000), "unrecognized arguments: yyy"),
+], ids=["command", "leftover"])
+def test_usage_error_cuts_long_tokens(capsys, argv, reason):
+    """argparse's own messages give at most 100 characters of a token."""
+    text = max(argv, key=len)
+    with pytest.raises(SystemExit) as exc:
+        run(["--json", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and err == ""
+    assert len(out.splitlines()) == 1 and len(out.encode()) < 400
+    message = json.loads(out)["error"]
+    assert message.startswith(reason) and f"{text[:100]}..." in message
+    assert text[:101] not in message
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.encode()) < 600 and f"{text[:100]}..." in err
+
+
 def test_guard_beyond_default_is_domain_error():
     """The guard can only be lowered: a 3,000-digit one is refused, by one
     envelope naming the bound, at exit 1."""
