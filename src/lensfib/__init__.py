@@ -16,7 +16,6 @@ from .errors import (
     OverflowLimitError,
     ZeroAlphaError,
 )
-from .exact_arith import refresh_int_limit
 from .pi1 import first_homology
 from .recognize import LensSpace, lens_equal_oriented, lens_equal_unoriented, recognize
 from .seifert import (
@@ -53,6 +52,5 @@ __all__ = [
     "normalize",
     "parse",
     "recognize",
-    "refresh_int_limit",
     "unparse",
 ]

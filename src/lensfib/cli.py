@@ -29,7 +29,7 @@ from . import classify as classify_mod
 from . import construct as construct_mod
 from . import pi1 as pi1_mod
 from .errors import DomainError, InvalidRangeError, OverflowLimitError
-from .exact_arith import check_magnitude, read_int, refresh_int_limit
+from .exact_arith import check_magnitude, read_int
 from .recognize import LensSpace, lens_normalize, recognize
 from .seifert import (
     CanonicalForm,
@@ -341,6 +341,8 @@ def run(argv: list[str]) -> int:
         failed, message = exc.args
         for token in argv:
             if len(token) > 100:
+                # The repr first, since a token can lie inside its own repr ("\\").
+                message = message.replace(repr(token)[1:-1], f"{repr(token[:100])[1:-1]}...")
                 message = message.replace(token, f"{token[:100]}...")
         if not args.json:
             argparse.ArgumentParser.error(failed, message)
@@ -348,7 +350,6 @@ def run(argv: list[str]) -> int:
     command = COMMANDS[args.command]
     values, echo = {}, {}
     try:
-        refresh_int_limit()
         for flag, argument in command.arguments.items():
             dest = flag.lstrip("-").replace("-", "_")
             values[dest] = argument.read(getattr(args, dest), flag)

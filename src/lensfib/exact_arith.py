@@ -10,46 +10,22 @@ normal form its entries after each pivot.  Where that trips on a square
 matrix with nonzero determinant D, the same elimination reruns with entries
 kept modulo D; a singular matrix, or a D beyond the guard, still raises.
 :func:`read_int` reads integer text, refusing one too long to convert.
-The threshold defaults to 2**62 and can be lowered for testing through the
-``SEIFERT_MAX_INT_GUARD`` environment variable.
+The threshold is the constant 2**62.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from contextlib import suppress
 from math import gcd, lcm
 
 from .errors import InvalidRangeError, NotCoprimeError, OverflowLimitError
 
-_GUARD_ENV = "SEIFERT_MAX_INT_GUARD"
-_DEFAULT_LIMIT = 2**62
-
-
-def refresh_int_limit() -> int:
-    """Re-read the guard from the environment; the CLI does on every run.
-    The guard can only be lowered: a value, read under the default guard,
-    that is not an integer from 1 to 2**62 raises InvalidRangeError and
-    leaves the default in force."""
-    global _int_limit
-    _int_limit = _DEFAULT_LIMIT
-    raw = os.environ.get(_GUARD_ENV)
-    try:
-        limit = _DEFAULT_LIMIT if raw is None else read_int(raw)
-    except ValueError:
-        raise InvalidRangeError(f"{_GUARD_ENV} must be an integer, got {raw!r}") from None
-    except OverflowLimitError:
-        limit = 0
-    if not 1 <= limit <= _DEFAULT_LIMIT:
-        raise InvalidRangeError(f"{_GUARD_ENV} must be an integer from 1 to 2**62; "
-                                "the guard can only be lowered")
-    _int_limit = limit
-    return limit
+# The magnitude contract: a constant, read by each check when it runs.
+_int_limit = 2**62
 
 
 def check_magnitude(*values: int) -> None:
-    """Fail loudly if any value exceeds the configured magnitude guard."""
+    """Fail loudly if any value exceeds the magnitude guard."""
     limit = _int_limit
     for v in values:
         if v > limit or -v > limit:
@@ -76,11 +52,6 @@ def read_int(text: str) -> int:
                                          f"integer guard {_int_limit}")
             text = sign + digits
     return int(text)
-
-
-# Importing never fails; the CLI reports a bad value when it re-reads it.
-with suppress(InvalidRangeError):
-    refresh_int_limit()
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -17,7 +17,7 @@ from lensfib import (
     normalize,
     recognize,
 )
-from lensfib import construct
+from lensfib import construct, exact_arith
 from lensfib.construct import GluingChoice, construct_s2xs1, gluing_choice
 from lensfib.exact_arith import smith_normal_form, unimodular_complement
 from lensfib.pi1 import presentation
@@ -29,6 +29,12 @@ from lensfib.seifert import (
     permute,
     shift_betas,
 )
+
+
+def lower_guard(monkeypatch, n: int) -> None:
+    """Hold every value to |v| <= n until the test ends; the library reads
+    the guard when each check runs."""
+    monkeypatch.setattr(exact_arith, "_int_limit", n)
 
 
 def det_bruteforce(matrix) -> int:
@@ -232,6 +238,24 @@ def apply_random_moves(rng, f: SeifertFibration, count: int, max_pairs: int = 8)
         move, argument = random_move(rng, f, max_pairs)
         f = move(f, argument)
     return f
+
+
+def normalize_by_moves(f: SeifertFibration) -> SeifertFibration:
+    """``normalize(f).expand()`` reached from ``f`` by the library's moves
+    alone: each move checks that it applies, so equality with the canonical
+    form certifies that ``normalize`` changes a list only by moves."""
+    for i, (alpha, _) in enumerate(f.pairs):
+        if alpha < 0:
+            f = flip_signs(f, i)
+    n = len(f.pairs)
+    f = insert_trivial(f, n)
+    quotients = [beta // alpha for alpha, beta in f.pairs[:n]]
+    f = shift_betas(f, tuple(-k for k in quotients) + (sum(quotients),))
+    for i in reversed(range(n)):
+        if f.pairs[i] == (1, 0):
+            f = delete_trivial(f, i)
+    m = len(f.pairs) - 1
+    return permute(f, tuple(sorted(range(m), key=f.pairs.__getitem__)) + (m,))
 
 
 @contextmanager

@@ -5,10 +5,10 @@ import subprocess
 import sys
 
 import pytest
-from helpers import deadline
+from helpers import deadline, lower_guard
 
 from lensfib import classify as classify_mod
-from lensfib import cli, parse, refresh_int_limit, unparse
+from lensfib import cli, parse, unparse
 from lensfib.cli import run
 
 
@@ -263,12 +263,12 @@ def test_bad_pair_syntax_is_domain_error(capsys):
     assert code == 1 and "comma" in err
 
 
-def test_env_guard(capsys, monkeypatch):
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
+def test_lowered_guard(capsys, monkeypatch):
+    lower_guard(monkeypatch, 50)
     code, _, err = invoke(capsys, "construct", "--lens", "47,13", "--weights", "11,7")
     assert code == 1
     assert "guard" in err
-    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
+    monkeypatch.undo()
     code, _, _ = invoke(capsys, "construct", "--lens", "47,13", "--weights", "11,7")
     assert code == 0
 
@@ -283,16 +283,12 @@ def test_env_guard(capsys, monkeypatch):
     (("enumerate", "--lens", "7,2", "--max-mult", "-12345"),
      "a 5-digit integer exceeds the integer guard 50"),
 ], ids=["parser-value", "parser-length", "pair-value", "pair-length", "option-length"])
-def test_env_guard_reads_integer_text(capsys, monkeypatch, argv, message):
+def test_lowered_guard_reads_integer_text(capsys, monkeypatch, argv, message):
     """The parser and the CLI refuse integer text at the same length, twice the
     guard's digits, and name a shorter integer beyond the guard by its value."""
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
-    try:
-        text_mode = invoke(capsys, *argv)
-        json_mode = invoke(capsys, "--json", *argv)
-    finally:
-        monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
-        refresh_int_limit()
+    lower_guard(monkeypatch, 50)
+    text_mode = invoke(capsys, *argv)
+    json_mode = invoke(capsys, "--json", *argv)
     assert text_mode == (1, "", f"error: {message}\n")
     code, out, err = json_mode
     assert code == 1 and err == ""
@@ -478,22 +474,35 @@ def test_usage_error_cuts_long_tokens(capsys, argv, reason):
     assert len(err.encode()) < 600 and f"{text[:100]}..." in err
 
 
-def test_guard_beyond_default_is_domain_error():
-    """The guard can only be lowered: a 3,000-digit one is refused, by one
-    envelope naming the bound, at exit 1."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "lensfib.cli", "--json", "normalize", f"M(0;({'7' * 5000},1))"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, SEIFERT_MAX_INT_GUARD="9" * 3000),
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert json.loads(proc.stdout) == {
-        "command": "normalize",
-        "status": "error",
-        "error": "SEIFERT_MAX_INT_GUARD must be an integer from 1 to 2**62; "
-                 "the guard can only be lowered",
-    }
+@pytest.mark.parametrize("text", ["x\n" * 2500, "\x00" * 5000, "\ud800" * 5000, "\\" * 5000],
+                         ids=["newlines", "nul", "lone-surrogate", "backslashes"])
+def test_usage_error_cuts_tokens_that_repr_escapes(capsys, text):
+    """"invalid choice" quotes a token with ``repr``, which may escape each of
+    its characters; the quote still holds only its first 100 characters."""
+    quote = f"invalid choice: {repr(text[:100])[:-1]}...'"
+    with pytest.raises(SystemExit) as exc:
+        run(["--json", text])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and err == ""
+    assert len(out.splitlines()) == 1 and len(out.encode()) < 1200
+    assert quote in json.loads(out)["error"]
+    with pytest.raises(SystemExit) as exc:
+        run([text])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.encode()) < 1200 and quote in err
+
+
+@pytest.mark.parametrize("value", ["50", "abc", "9" * 3000], ids=["50", "abc", "3000-nines"])
+def test_guard_reads_no_environment_variable(value):
+    """The integer guard is a constant: the variable that once set it changes nothing."""
+    argv = [sys.executable, "-m", "lensfib.cli", "--json", "normalize", "M(0;(1234,1))"]
+    plain = subprocess.run(argv, capture_output=True, text=True)
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env=dict(os.environ, SEIFERT_MAX_INT_GUARD=value))
+    assert proc.returncode == plain.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == plain.stdout
+    assert json.loads(proc.stdout)["result"]["pairs"] == [[1234, 1]]
 
 
 @pytest.mark.parametrize("field", ["class_count", "reversing_pair_count"])
@@ -514,31 +523,6 @@ def test_prediction_mismatch_is_program_failure(capsys, monkeypatch, field):
     envelope = json.loads(out)
     assert envelope["status"] == "error"
     assert envelope["error"].startswith("PredictionMismatchError: L(7,2)")
-
-
-BAD_GUARD_ENVELOPE = {
-    "command": "recognize",
-    "status": "error",
-    "error": "SEIFERT_MAX_INT_GUARD must be an integer, got 'abc'",
-}
-
-
-def test_bad_env_guard_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "abc")
-    code, out, err = invoke(capsys, "--json", "recognize", "M(0;)")
-    assert code == 1 and err == ""
-    assert json.loads(out) == BAD_GUARD_ENVELOPE
-
-
-def test_bad_env_guard_at_import_is_domain_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lensfib.cli", "--json", "recognize", "M(0;)"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, SEIFERT_MAX_INT_GUARD="abc"),
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert json.loads(proc.stdout) == BAD_GUARD_ENVELOPE
 
 
 def test_console_script_installed():

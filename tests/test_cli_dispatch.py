@@ -102,8 +102,7 @@ def _run(argv):
         return exc.code
 
 
-def test_a_command_receives_what_the_root_parser_reads(capsys, monkeypatch, parses):
-    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD", raising=False)
+def test_a_command_receives_what_the_root_parser_reads(capsys, parses):
     accepted = rejected = 0
     for argv in CALLS:
         expected, rejection = _root_reading(argv)

@@ -3,7 +3,13 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import coprime_pairs, isotropy_order_oracle, lens_parameters, other_choices
+from helpers import (
+    coprime_pairs,
+    isotropy_order_oracle,
+    lens_parameters,
+    lower_guard,
+    other_choices,
+)
 
 from lensfib import (
     InvalidRangeError,
@@ -15,7 +21,6 @@ from lensfib import (
     normalize,
     parse,
     recognize,
-    refresh_int_limit,
 )
 from lensfib.construct import (
     GluingChoice,
@@ -253,28 +258,23 @@ def test_no_recipe_value_escapes_the_guard(monkeypatch):
     runs = [((0, 0), cases), ((0, 2), cases), ((1, 1), [(7, 2, 5, 2)])]
 
     def build(guard, p, q, a10, a20):
-        monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(guard))
-        refresh_int_limit()
+        lower_guard(monkeypatch, guard)
         return construct_fibration(LensSpace(p, q), a10, a20)
 
     checked = 0
-    try:
-        for shifts, calls in runs:
-            other_choices(monkeypatch, *shifts)
-            for call in calls:
-                built = build(2**62, *call)
-                tr = built.trace
-                m = max(abs(v) for v in (*call[:2], tr.alpha1, tr.alpha2, tr.alpha1_prime,
-                                         tr.beta1, tr.beta1_prime, tr.beta2))
-                if m == 1:
-                    continue
-                assert build(m, *call) == built
-                with pytest.raises(OverflowLimitError):
-                    build(m - 1, *call)
-                checked += 1
-    finally:
-        monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
-        refresh_int_limit()
+    for shifts, calls in runs:
+        other_choices(monkeypatch, *shifts)
+        for call in calls:
+            built = build(2**62, *call)
+            tr = built.trace
+            m = max(abs(v) for v in (*call[:2], tr.alpha1, tr.alpha2, tr.alpha1_prime,
+                                     tr.beta1, tr.beta1_prime, tr.beta2))
+            if m == 1:
+                continue
+            assert build(m, *call) == built
+            with pytest.raises(OverflowLimitError):
+                build(m - 1, *call)
+            checked += 1
     assert checked == 36_797
     # The last call, the one with s shifted.
     assert m == tr.beta1_prime == 103

@@ -1,12 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
 from math import gcd
 
 import pytest
-from helpers import deadline, det_bruteforce
+from helpers import deadline, det_bruteforce, lower_guard
 
 import lensfib.exact_arith
 from lensfib import OverflowLimitError
@@ -15,18 +12,9 @@ from lensfib.exact_arith import (
     check_magnitude,
     mod_inverse,
     read_int,
-    refresh_int_limit,
     smith_normal_form,
     unimodular_complement,
 )
-
-
-@pytest.fixture
-def restore_limit(monkeypatch):
-    old = refresh_int_limit()
-    yield
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", str(old))
-    refresh_int_limit()
 
 
 def test_gcd_nonneg_examples():
@@ -213,15 +201,14 @@ def test_snf_invariant_under_unimodular_ops():
         assert smith_normal_form(_random_unimodular_ops(rng, m)) == expected
 
 
-def test_snf_reruns_modulo_the_determinant_when_the_guard_trips(restore_limit, monkeypatch):
+def test_snf_reruns_modulo_the_determinant_when_the_guard_trips(monkeypatch):
     """Under a low guard the plain pass overflows on many small-determinant
     matrices; the rerun modulo |det| must still give the Smith form."""
     reruns = []
     determinant = lensfib.exact_arith._abs_determinant
     monkeypatch.setattr(lensfib.exact_arith, "_abs_determinant",
                         lambda m: reruns.append(m) or determinant(m))
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
-    refresh_int_limit()
+    lower_guard(monkeypatch, 50)
     rng = random.Random(909)
     answered_by_rerun = 0
     for _ in range(1000):
@@ -245,21 +232,17 @@ def test_snf_reruns_modulo_the_determinant_when_the_guard_trips(restore_limit, m
     ([[4, -7, 7], [0, 6, 3], [0, -8, -4]], "singular"),
     ([[8, -4], [-2, 9]], "determinant 64 beyond the guard"),
 ])
-def test_snf_beyond_the_guard_without_a_usable_determinant_raises(restore_limit, monkeypatch,
-                                                                  matrix, why):
+def test_snf_beyond_the_guard_without_a_usable_determinant_raises(monkeypatch, matrix, why):
     expected = smith_normal_form(matrix)
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "60")
-    refresh_int_limit()
+    lower_guard(monkeypatch, 60)
     with pytest.raises(OverflowLimitError, match="exceeds the integer guard 60"):
         smith_normal_form(matrix)
-    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
-    refresh_int_limit()
+    monkeypatch.undo()
     assert smith_normal_form(matrix) == expected
 
 
-def test_int_guard(restore_limit, monkeypatch):
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "100")
-    refresh_int_limit()
+def test_int_guard(monkeypatch):
+    lower_guard(monkeypatch, 100)
     check_magnitude(100, -100)
     with pytest.raises(OverflowLimitError):
         check_magnitude(101)
@@ -268,34 +251,14 @@ def test_int_guard(restore_limit, monkeypatch):
     with pytest.raises(OverflowLimitError):
         smith_normal_form([[101]])
 
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "55")
-    assert refresh_int_limit() == 55
+    lower_guard(monkeypatch, 55)
     check_magnitude(55)
     with pytest.raises(OverflowLimitError):
         check_magnitude(56)
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "zero")
-    with pytest.raises(InvalidRangeError):
-        refresh_int_limit()
-    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD")
-    assert refresh_int_limit() == 2**62
-
-
-@pytest.mark.parametrize("raw", [
-    str(2**62 + 1), "9" * 20, "9" * 39, "9" * 3000, "-" + "9" * 3000, "0" * 5000, "-1",
-], ids=["2**62+1", "20-nines", "39-nines", "3000-nines", "minus-3000-nines", "5000-zeros", "-1"])
-def test_guard_can_only_be_lowered(restore_limit, monkeypatch, raw):
-    """A guard beyond 2**62, or too long to read, is refused by a message that
-    names the bound and not the digits, and leaves the default in force."""
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "50")
-    refresh_int_limit()
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", raw)
-    with pytest.raises(InvalidRangeError) as exc:
-        refresh_int_limit()
-    assert str(exc.value) == ("SEIFERT_MAX_INT_GUARD must be an integer from 1 to 2**62; "
-                              "the guard can only be lowered")
+    monkeypatch.undo()
     check_magnitude(2**62)
-    monkeypatch.setenv("SEIFERT_MAX_INT_GUARD", "0" * 5000 + str(2**62))
-    assert refresh_int_limit() == 2**62
+    with pytest.raises(OverflowLimitError):
+        check_magnitude(2**62 + 1)
 
 
 @pytest.mark.parametrize("text, value", [
@@ -326,34 +289,3 @@ def test_read_int_counts_digits_without_underscores(text, digits):
     with pytest.raises(OverflowLimitError) as exc:
         read_int(text)
     assert str(exc.value) == f"a {digits}-digit integer exceeds the integer guard {2**62}"
-
-
-# Prints "guard N" exactly when N is the guard in force: N passes, N + 1 fails.
-REPORT_GUARD = """
-import sys
-import lensfib.exact_arith as e
-limit = int(sys.argv[1])
-e.check_magnitude(limit)
-try:
-    e.check_magnitude(limit + 1)
-except e.OverflowLimitError:
-    print("guard", limit)
-"""
-
-
-@pytest.mark.parametrize("raw, limit", [
-    ("55", 55), ("abc", 2**62), ("0", 2**62),
-    pytest.param(str(2**62 + 1), 2**62, id="2**62+1"),
-    pytest.param("9" * 3000, 2**62, id="3000-nines"),
-])
-def test_import_reads_guard_and_never_raises(raw, limit):
-    """A valid SEIFERT_MAX_INT_GUARD applies at import; a bad one leaves the
-    default in place, to be reported by refresh_int_limit."""
-    proc = subprocess.run(
-        [sys.executable, "-c", REPORT_GUARD, str(limit)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, SEIFERT_MAX_INT_GUARD=raw),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"guard {limit}\n"

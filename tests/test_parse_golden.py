@@ -13,13 +13,10 @@ record their outcomes from the current code with
 """
 
 import json
-import os
 import random
 from pathlib import Path
 
-import pytest
-
-from lensfib import errors, parse, refresh_int_limit
+from lensfib import errors, parse
 
 CORPUS = Path(__file__).parent / "data" / "parse_golden.jsonl"
 
@@ -87,13 +84,7 @@ def outcome(text: str) -> dict:
 CASES = [json.loads(line) for line in CORPUS.read_text().splitlines()]
 
 
-@pytest.fixture
-def default_guard(monkeypatch):
-    monkeypatch.delenv("SEIFERT_MAX_INT_GUARD", raising=False)
-    refresh_int_limit()
-
-
-def test_replay_is_identical(default_guard):
+def test_replay_is_identical():
     mismatches = [(case, got) for case in CASES if (got := outcome(case["text"])) != case]
     assert not mismatches, f"{len(mismatches)} of {len(CASES)} differ, first {mismatches[0]}"
 
@@ -110,6 +101,4 @@ def test_corpus_covers_every_outcome():
 
 
 if __name__ == "__main__":
-    os.environ.pop("SEIFERT_MAX_INT_GUARD", None)
-    refresh_int_limit()
     CORPUS.write_text("".join(json.dumps(outcome(text)) + "\n" for text in corpus_texts()))

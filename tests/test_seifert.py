@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import apply_random_moves, random_fibration
+from helpers import apply_random_moves, normalize_by_moves, random_fibration
 
 from lensfib import (
     CanonicalForm,
@@ -112,6 +112,14 @@ def test_normalize_is_move_invariant():
         expected = normalize(f)
         moved = apply_random_moves(rng, f, rng.randint(1, 8))
         assert normalize(moved) == expected
+
+
+def test_normalize_only_applies_moves():
+    """The canonical form is reachable from the list by the four moves."""
+    rng = random.Random(23)
+    for _ in range(20_000):
+        f = random_fibration(rng)
+        assert normalize_by_moves(f) == normalize(f).expand(), f
 
 
 def test_normalize_idempotent():
