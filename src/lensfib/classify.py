@@ -33,12 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .construct import _recipe, construct_fibration, gluing_choice
-from .errors import (
-    InvalidRangeError,
-    NotCoprimeError,
-    NotCoprimePairError,
-    PredictionMismatchError,
-)
+from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
 from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented, recognize
@@ -167,14 +162,19 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     to max_mult // alpha, and lets a20 run only over the residue class of
     s*a10 modulo u.  Each admissible pair, coprime and with exactly this u,
     goes through the integer recipe once and is canonicalised straight from
-    its two pairs, with the same checks as ``construct_fibration``.  When
-    q*q = 1 (mod p), exchanging the weights gives the same class (e = b and
-    a = c) with the same u, as s*s = 1 too, so a20 runs only over
-    |a20| <= a10.  Each class is thus computed once, and the work is
-    proportional to max_mult plus the classes found.  The projective-plane
-    fibration is added for L(4,1) and L(4,3).  For the p = 0 space it is the
-    family M(0; (alpha, beta), (alpha, -beta)), where beta and alpha - beta
-    give one class.
+    its two pairs, which are valid by construction.  M = [[alpha1, alpha1'],
+    [beta1, beta1']] has determinant 1, so gcd(alpha1, beta1) = 1; and as
+    alpha*u = p, (alpha2, -beta2) = M*(s, -p) with gcd(s, p) = 1, so
+    gcd(alpha2, beta2) = 1.  |alpha2| <= max_mult, which is checked up front,
+    and 0 <= beta1 < |alpha1|, which the complement checks.  Only beta2, with
+    |beta2| < p/alpha1 + max_mult, keeps its guard.  When q*q = 1 (mod p),
+    exchanging the weights gives the same class (e = b and a = c) with the
+    same u, as s*s = 1 too, so a20 runs only over |a20| <= a10.  Each class
+    is thus computed once, and the work is proportional to max_mult plus the
+    classes found.  The projective-plane fibration is added for L(4,1) and
+    L(4,3).  For the p = 0 space it is the family
+    M(0; (alpha, beta), (alpha, -beta)), where beta and alpha - beta give one
+    class.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
@@ -184,10 +184,9 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     check_magnitude(max_mult)
     found: set[CanonicalForm] = set()
     if lens.p == 0:
-        # beta, beta + alpha and alpha - beta give one class: 0 < beta <= alpha/2.
-        found.add(_canonical_form(0, ((1, 0), (1, 0))))
-        for alpha in range(2, max_mult + 1):
-            for beta in range(1, alpha // 2 + 1):
+        # beta, beta + alpha and alpha - beta give one class: 0 <= beta <= alpha/2.
+        for alpha in range(1, max_mult + 1):
+            for beta in range(alpha // 2 + 1):
                 if gcd(alpha, beta) == 1:
                     found.add(_canonical_form(0, ((alpha, beta), (alpha, -beta))))
         return sorted(found)
@@ -207,13 +206,8 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
                 if not a20 or gcd(a10, a20) != 1 or gcd(p, s * a10 - a20) != u:
                     continue
                 _, alpha1, alpha2, _, beta1, _, beta2 = _recipe(p, s, a10, a20, u)
-                # validate's checks, raised so that ``python -O`` keeps them;
-                # unimodular_complement has checked alpha1.
-                check_magnitude(alpha2, beta1, beta2)
-                if gcd(alpha1, beta1) != 1:
-                    raise NotCoprimePairError(f"pair 0 = ({alpha1}, {beta1}) is not coprime")
-                if gcd(alpha2, beta2) != 1:
-                    raise NotCoprimePairError(f"pair 1 = ({alpha2}, {beta2}) is not coprime")
+                # Only beta2 can pass the guard; the docstring proves the rest.
+                check_magnitude(beta2)
                 found.add(_canonical_form(0, ((alpha1, beta1), (alpha2, beta2))))
     for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
         if lens_equal_oriented(recognize(projective), lens):

@@ -25,11 +25,11 @@ import os
 import sys
 from typing import Callable, Iterable, NamedTuple
 
-from . import classify as classify_mod
-from . import construct as construct_mod
-from . import pi1 as pi1_mod
+from .classify import classify_pair, enumerate_fibrations
+from .construct import ModelWeights, construct_fibration, isotropy_order, model_fibration
 from .errors import DomainError, InvalidRangeError, OverflowLimitError
 from .exact_arith import check_magnitude, read_int
+from .pi1 import BaseOrbifold, base_orbifold, first_homology, presentation, render_word
 from .recognize import LensSpace, lens_normalize, recognize
 from .seifert import (
     CanonicalForm,
@@ -94,12 +94,12 @@ def _pair(metavar: str, make: Callable) -> Argument:
                     lambda text, flag: make(*_int_pair(text, flag)), pair=True)
 
 
-# Library functions are called through this module's globals, never bound
-# at import, so that whatever rebinds them (a tracer) sees every call.
+# A library function is looked up in these globals when called, never bound
+# at import (hence _LENS's lambda), so a tracer that rebinds them sees it.
 _LENS = _pair("P,Q", lambda p, q: lens_normalize(p, q))
 _WEIGHTS = _pair("A1,A2", lambda a, b: (a, b))
 _PAIR = _pair("M1,M2", lambda a, b: (a, b))
-_MODEL_WEIGHTS = _pair("K1,K2", construct_mod.ModelWeights)
+_MODEL_WEIGHTS = _pair("K1,K2", ModelWeights)
 _FIBRATION = Argument({}, lambda text, flag: parse(text), lambda fib: unparse(fib))
 _TEXT = Argument({}, _same)
 _INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_int(text))
@@ -120,7 +120,7 @@ def _fibration_result(fib) -> dict:
 
 
 def _construct(lens, weights) -> dict:
-    fib, trace = construct_mod.construct_fibration(lens, *weights)
+    fib, trace = construct_fibration(lens, *weights)
     return {"result": _fibration_result(fib), "trace": trace._asdict()}
 
 
@@ -131,7 +131,7 @@ def _normalize(fibration) -> dict:
 
 
 def _classify(lens, pair) -> dict:
-    report = classify_mod.classify_pair(lens, *pair)
+    report = classify_pair(lens, *pair)
     prediction = report.prediction
     return {"result": {
         "case": prediction.tag.value,
@@ -155,11 +155,11 @@ def _classify(lens, pair) -> dict:
 
 
 def _pi1(fibration) -> dict:
-    pres = pi1_mod.presentation(fibration)
-    orb = pi1_mod.base_orbifold(fibration)
+    pres = presentation(fibration)
+    orb = base_orbifold(fibration)
     return {"result": {
         "generators": pres.generators,
-        "relators": [pi1_mod.render_word(w) for w in pres.relators],
+        "relators": [render_word(w) for w in pres.relators],
         "base_orbifold": {"surface": orb.surface, **orb._asdict()},
     }}
 
@@ -199,7 +199,7 @@ def _render_pi1(payload: dict) -> Iterable[str]:
     result = payload["result"]
     orb = result["base_orbifold"]
     yield f"< {', '.join(result['generators'])} | {', '.join(result['relators'])} >"
-    yield f"base {pi1_mod.BaseOrbifold(orb['genus'], orb['cone_orders'])}"
+    yield f"base {BaseOrbifold(orb['genus'], orb['cone_orders'])}"
 
 
 class Command(NamedTuple):
@@ -234,25 +234,25 @@ COMMANDS: dict[str, Command] = {
         "all classes with bounded multiplicities",
         {"--lens": _LENS, "--max-mult": _INT},
         lambda lens, max_mult: {"result": [
-            _canonical_json(cf) for cf in classify_mod.enumerate_fibrations(lens, max_mult)]},
+            _canonical_json(cf) for cf in enumerate_fibrations(lens, max_mult)]},
         lambda payload: [cf["fibration"] for cf in payload["result"]]),
     "model": Command(
         "invariants of a weighted circle action",
         {"--lens": _LENS, "--weights": _MODEL_WEIGHTS},
         lambda lens, weights: {"result": _fibration_result(
-            construct_mod.model_fibration(lens, weights))},
+            model_fibration(lens, weights))},
         _render_fibration),
     "isotropy": Command(
         "fibre-preserving deck transformations",
         {"--lens": _LENS, "--weights": _MODEL_WEIGHTS},
-        lambda lens, weights: {"result": {"u": construct_mod.isotropy_order(lens, weights)}},
+        lambda lens, weights: {"result": {"u": isotropy_order(lens, weights)}},
         lambda payload: [str(payload["result"]["u"])]),
     "pi1": Command(
         "fundamental-group presentation", {"fibration": _FIBRATION}, _pi1, _render_pi1),
     "homology": Command(
         "first-homology invariant factors", {"fibration": _FIBRATION},
         lambda fibration: {"result": {
-            "invariant_factors": list(pi1_mod.first_homology(fibration))}},
+            "invariant_factors": list(first_homology(fibration))}},
         lambda payload: [" ".join(map(str, payload["result"]["invariant_factors"]))
                          or "trivial"]),
     "parse-check": Command(

@@ -91,7 +91,7 @@ def _recipe(p: int, s: int, a10: int, a20: int, u: int):
     """The recipe's integers (alpha, alpha1, alpha2, alpha1', beta1, beta1',
     beta2) for p >= 1, q*s = 1 (mod p), coprime non-zero weights and
     u = gcd(p, s*a10 - a20).  It checks only beta1', which no pair holds,
-    against the guard; the caller checks the two pairs."""
+    against the guard; the caller checks what it cannot prove of the pairs."""
     alpha = p // u
     alpha1 = alpha * a10
     alpha2 = alpha * a20

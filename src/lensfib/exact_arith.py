@@ -5,10 +5,10 @@ a coprime column to a determinant-one matrix, and Smith normal form.
 Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
-loudly.  Each function here checks its arguments against it, and Smith
-normal form its entries after each pivot.  Where that trips on a square
-matrix with nonzero determinant D, the same elimination reruns with entries
-kept modulo D; a singular matrix, or a D beyond the guard, still raises.
+loudly.  Smith normal form checks its entries after each pivot, not on
+entry, and each other function here its arguments.  Where that trips on a
+square matrix with nonzero determinant D, the same elimination reruns with
+entries kept modulo D; a singular matrix, or a D beyond the guard, raises.
 :func:`read_int` reads integer text, refusing one too long to convert.
 The threshold is the constant 2**62.
 """
@@ -90,15 +90,12 @@ def smith_normal_form(matrix) -> list[int]:
 
     Returns min(rows, cols) non-negative entries; trailing zeros indicate
     rank deficiency.  Intended for the small relation matrices arising from
-    fibration presentations, not as a general-purpose SNF.
+    fibration presentations, not as a general-purpose SNF: rows must have
+    equal lengths, and entries meet the guard after each pivot, not on entry.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise InvalidRangeError("matrix rows have unequal lengths")
-    for row in m:
-        check_magnitude(*row)
     try:
         diag = _eliminate([row[:] for row in m], rows, cols)
     except OverflowLimitError:

@@ -108,13 +108,8 @@ def recognize(f: SeifertFibration) -> LensSpace:
 
 
 def lens_equal_oriented(l1: LensSpace, l2: LensSpace) -> bool:
-    """Oriented diffeomorphism: q1 = q2 or q1*q2 = 1 (mod p)."""
-    if l1.p != l2.p:
-        return False
-    p = l1.p
-    if p == 0:
-        return True
-    return (l1.q - l2.q) % p == 0 or (l1.q * l2.q - 1) % p == 0
+    """Oriented diffeomorphism: q1 = q2, which covers L(0, 1), or q1*q2 = 1 (mod p)."""
+    return l1.p == l2.p and (l1.q == l2.q or (l1.q * l2.q - 1) % l1.p == 0)
 
 
 def lens_equal_unoriented(l1: LensSpace, l2: LensSpace) -> bool:
@@ -123,7 +118,5 @@ def lens_equal_unoriented(l1: LensSpace, l2: LensSpace) -> bool:
 
 
 def lens_reverse(l: LensSpace) -> LensSpace:
-    """The same manifold with the opposite orientation: L(p, -q)."""
-    if l.p == 0:
-        return l
+    """The same manifold with the opposite orientation: L(p, -q), or L(0, 1) for p = 0."""
     return lens_normalize(l.p, -l.q)

@@ -25,6 +25,7 @@ from lensfib import (
 from lensfib.construct import (
     GluingChoice,
     ModelWeights,
+    _recipe,
     construct_s2xs1,
     gluing_choice,
     isotropy_order,
@@ -97,6 +98,26 @@ def test_construct_trace_identities():
             assert gcd(tr.alpha2, tr.beta2) == 1
             (pa1, pb1), (pa2, pb2) = fib.pairs
             assert (pa1, pb1, pa2, pb2) == (tr.alpha1, tr.beta1, tr.alpha2, tr.beta2)
+
+    # enumerate_fibrations calls the recipe directly and trusts its pairs:
+    # M = [[alpha1, alpha1'], [beta1, beta1']] must be unimodular and map
+    # (s, -p) to (alpha2, -beta2), which makes both pairs coprime.
+    rng = random.Random(21)
+    for _ in range(5000):
+        p = rng.randint(1, 10**12)
+        q = rng.randrange(p)
+        while gcd(p, q) != 1:
+            q = rng.randrange(p)
+        a10, a20 = 0, 0
+        while gcd(a10, a20) != 1:
+            a10, a20 = (rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(2))
+        _, s = gluing_choice(p, q)
+        u = gcd(p, s * a10 - a20)
+        alpha, alpha1, alpha2, alpha1p, beta1, beta1p, beta2 = _recipe(p, s, a10, a20, u)
+        assert alpha * u == p
+        assert alpha1 * beta1p - alpha1p * beta1 == 1
+        assert (alpha2, -beta2) == (alpha1 * s - alpha1p * p, beta1 * s - beta1p * p)
+        assert gcd(alpha1, beta1) == 1 and gcd(alpha2, beta2) == 1
 
 
 def test_construct_errors():

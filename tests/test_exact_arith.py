@@ -250,6 +250,9 @@ def test_int_guard(monkeypatch):
         mod_inverse(10**6, 3)
     with pytest.raises(OverflowLimitError):
         smith_normal_form([[101]])
+    # Entries meet the guard after each pivot, not on entry: the first pivot
+    # clears 101 before any check sees it.
+    assert smith_normal_form([[2, 101], [0, 1]]) == [1, 2]
 
     lower_guard(monkeypatch, 55)
     check_magnitude(55)
