@@ -32,7 +32,7 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .construct import _recipe, construct_fibration, gluing_choice
+from .construct import construct_fibration, gluing_choice
 from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
 from .exact_arith import check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
@@ -40,7 +40,7 @@ from .recognize import LensSpace, lens_equal_oriented, recognize
 from .seifert import (
     CanonicalForm,
     SeifertFibration,
-    _canonical_form,
+    SeifertPair,
     fibration,
     normalize,
     reverse_canonical,
@@ -152,64 +152,91 @@ def classify_pair(lens: LensSpace, m1: int, m2: int) -> ClassificationReport:
 
 
 def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
-    """All fibration classes of ``lens`` with multiplicities <= max_mult.
+    """All fibration classes of ``lens`` with multiplicities <= N = max_mult.
 
     For p >= 1 every class comes from a weight pair (a10, a20), and a10 > 0
     is enough, since negating both weights changes nothing.  The recipe
-    gives multiplicities alpha*|a10| and alpha*|a20| with alpha = p/u and
-    u = gcd(p, s*a10 - a20).  So the sweep runs over the divisors alpha of
-    p up to max_mult (trial division, no factoring), takes both weights up
-    to max_mult // alpha, and lets a20 run only over the residue class of
-    s*a10 modulo u.  Each admissible pair, coprime and with exactly this u,
-    goes through the integer recipe once and is canonicalised straight from
-    its two pairs, which are valid by construction.  M = [[alpha1, alpha1'],
-    [beta1, beta1']] has determinant 1, so gcd(alpha1, beta1) = 1; and as
-    alpha*u = p, (alpha2, -beta2) = M*(s, -p) with gcd(s, p) = 1, so
-    gcd(alpha2, beta2) = 1.  |alpha2| <= max_mult, which is checked up front,
-    and 0 <= beta1 < |alpha1|, which the complement checks.  Only beta2, with
-    |beta2| < p/alpha1 + max_mult, keeps its guard.  When q*q = 1 (mod p),
-    exchanging the weights gives the same class (e = b and a = c) with the
-    same u, as s*s = 1 too, so a20 runs only over |a20| <= a10.  Each class
-    is thus computed once, and the work is proportional to max_mult plus the
-    classes found.  The projective-plane fibration is added for L(4,1) and
-    L(4,3).  For the p = 0 space it is the family
-    M(0; (alpha, beta), (alpha, -beta)), where beta and alpha - beta give one
-    class.
+    gives multiplicities alpha1 = alpha*a10 and alpha2 = alpha*a20 with
+    alpha = p/u and u = gcd(p, s*a10 - a20).  So the sweep runs over the
+    divisors alpha of p up to N (trial division, no factoring), takes both
+    weights up to N/alpha, and lets a20 run only over the residue class of
+    s*a10 modulo u.  There s*a10 - a20 = u*alpha1' and p = u*alpha, so u is
+    the gcd exactly when gcd(alpha, alpha1') = 1, and the pair is admissible
+    when a20 != 0 and gcd(a10, a20) = gcd(alpha, alpha1') = 1.  When
+    q*q = 1 (mod p), exchanging the weights gives the same class (e = b and
+    a = c) with the same u, as s*s = 1 too, so a20 runs only over
+    |a20| <= a10.  Each class is thus computed once, and the work is
+    proportional to N plus the classes found.
+
+    The recipe runs inline: beta1 = (-alpha1')^-1 mod alpha1 and
+    beta2 = -s*beta1 + p*beta1' with beta1' = (1 + alpha1'*beta1)/alpha1.
+    The inverse exists, as gcd(alpha, alpha1') = 1 and a prime dividing a10
+    and alpha1' would divide a20 = s*a10 - u*alpha1'.  Both pairs are coprime:
+    M = [[alpha1, alpha1'], [beta1, beta1']] has determinant 1 and, with
+    alpha*u = p, (alpha2, -beta2) = M*(s, -p) where gcd(s, p) = 1.
+
+    One check up front bounds every value.  For 1 <= a10, |a20| <= N/alpha
+    and 0 <= s < p: |alpha1'| = |s*a10 - a20|/u <= N; 0 <= beta1 < alpha1 <= N
+    and |beta1'| <= N; |beta2| = |p - beta1*alpha2|/alpha1 is p when
+    alpha1 = 1 and at most p//2 + N otherwise.  p is a checked lens
+    parameter, so checking N (first, so that a bad max_mult is named) and
+    p//2 + N suffices.  It refuses only N > 2**61, a sweep without end.
+
+    alpha1 > 0 and beta1 is reduced, so only the second pair needs a flip
+    and a divmod.  Flat keys (b,), (b, a, r) or (b, a, r, a', r'), pairs in
+    order, sort exactly as the canonical forms do; each form is built once
+    from the sorted keys, after the genus -1 form of L(4,1) or L(4,3).  For
+    p = 0 the classes are M(0; (alpha, beta), (alpha, -beta)), where beta and
+    alpha - beta give one class: for 0 < beta <= alpha/2, the sorted forms
+    CanonicalForm(0, -1, ((alpha, beta), (alpha, alpha - beta))), then beta = 0.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
-    # Checked up front: it bounds every value of the p = 0 sweep, and although
-    # the recipe checks its own values, a sweep towards a huge bound would
-    # run practically forever before one fails the guard.
-    check_magnitude(max_mult)
-    found: set[CanonicalForm] = set()
-    if lens.p == 0:
-        # beta, beta + alpha and alpha - beta give one class: 0 <= beta <= alpha/2.
-        for alpha in range(1, max_mult + 1):
-            for beta in range(alpha // 2 + 1):
-                if gcd(alpha, beta) == 1:
-                    found.add(_canonical_form(0, ((alpha, beta), (alpha, -beta))))
-        return sorted(found)
-
     p = lens.p
+    check_magnitude(max_mult, p // 2 + max_mult)
+    if p == 0:
+        forms = [CanonicalForm(0, -1, (SeifertPair(alpha, beta),
+                                       SeifertPair(alpha, alpha - beta)))
+                 for alpha in range(2, max_mult + 1) for beta in range(1, alpha // 2 + 1)
+                 if gcd(alpha, beta) == 1]
+        return forms + [CanonicalForm(0, 0, ())]
+
     _, s = gluing_choice(p, lens.q)
     exchange = lens.q * lens.q % p == 1 % p
+    keys = []
     for alpha in range(1, min(p, max_mult) + 1):
         if p % alpha:
             continue
         u, bound = p // alpha, max_mult // alpha
         for a10 in range(1, bound + 1):
+            alpha1, sa10 = alpha * a10, s * a10
             top = a10 if exchange else bound
             # The least a20 >= -top with a20 = s*a10 (mod u).
-            first = (s * a10 + top) % u - top
-            for a20 in range(first, top + 1, u):
-                if not a20 or gcd(a10, a20) != 1 or gcd(p, s * a10 - a20) != u:
+            for a20 in range((sa10 + top) % u - top, top + 1, u):
+                alpha1p = (sa10 - a20) // u
+                if not a20 or gcd(a10, a20) != 1 or alpha > 1 and gcd(alpha, alpha1p) != 1:
                     continue
-                _, alpha1, alpha2, _, beta1, _, beta2 = _recipe(p, s, a10, a20, u)
-                # Only beta2 can pass the guard; the docstring proves the rest.
-                check_magnitude(beta2)
-                found.add(_canonical_form(0, ((alpha1, beta1), (alpha2, beta2))))
-    for projective in (fibration(-1, (1, 1)), fibration(-1, (1, -1))):
-        if lens_equal_oriented(recognize(projective), lens):
-            found.add(normalize(projective))
-    return sorted(found)
+                beta1 = pow(-alpha1p, -1, alpha1)
+                beta2 = p * (1 + alpha1p * beta1) // alpha1 - s * beta1
+                alpha2 = alpha * a20
+                if alpha2 < 0:
+                    alpha2, beta2 = -alpha2, -beta2
+                b, r2 = divmod(beta2, alpha2)
+                if alpha2 == 1:
+                    keys.append((b, alpha1, beta1) if alpha1 > 1 else (b,))
+                elif alpha1 == 1:
+                    keys.append((b, alpha2, r2))
+                elif alpha1 < alpha2 or alpha1 == alpha2 and beta1 < r2:
+                    keys.append((b, alpha1, beta1, alpha2, r2))
+                else:
+                    keys.append((b, alpha2, r2, alpha1, beta1))
+    keys.sort()
+    forms = [normalize(f) for f in (fibration(-1, (1, 1)), fibration(-1, (1, -1)))
+             if lens_equal_oriented(recognize(f), lens)]
+    for key in keys:
+        if len(key) == 5:
+            pairs = (SeifertPair(key[1], key[2]), SeifertPair(key[3], key[4]))
+        else:
+            pairs = (SeifertPair(key[1], key[2]),) if len(key) == 3 else ()
+        forms.append(CanonicalForm(0, key[0], pairs))
+    return forms

@@ -158,15 +158,9 @@ def normalize(f: SeifertFibration) -> CanonicalForm:
     modulo its alpha with the quotients accumulated into ``b``, pairs of
     multiplicity one are dropped, and the remainder is sorted.
     """
-    return _canonical_form(f.genus, f.pairs)
-
-
-def _canonical_form(genus: int, pairs) -> CanonicalForm:
-    """The body of :func:`normalize`, for (alpha, beta) pairs already known
-    to form a valid invariant list."""
     b = 0
     kept = []
-    for alpha, beta in pairs:
+    for alpha, beta in f.pairs:
         if alpha < 0:
             alpha, beta = -alpha, -beta
         q, r = divmod(beta, alpha)
@@ -174,7 +168,7 @@ def _canonical_form(genus: int, pairs) -> CanonicalForm:
         if alpha > 1:
             kept.append(SeifertPair(alpha, r))
     kept.sort()
-    return CanonicalForm(genus, b, tuple(kept))
+    return CanonicalForm(f.genus, b, tuple(kept))
 
 
 def reverse_orientation(f: SeifertFibration) -> SeifertFibration:

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from collections import defaultdict
@@ -198,38 +199,65 @@ def test_enumerate_respects_bound_and_determinism():
 
 def test_enumerate_cost_is_output_sensitive(monkeypatch):
     """For a prime p > N only alpha = 1 divides p, and a20 is pinned to one
-    residue class modulo p, so the recipe runs at most 2N times."""
+    residue class modulo p, so the sweep tries at most 2N weight pairs, each
+    with at most two gcds."""
     lens, bound = LensSpace(1009, 400), 100
     expected = enumerate_fibrations(lens, bound)
     calls = []
-    recipe = classify_mod._recipe
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return recipe(*args, **kwargs)
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
 
-    monkeypatch.setattr(classify_mod, "_recipe", counting)
+    monkeypatch.setattr(classify_mod, "gcd", counting)
     assert enumerate_fibrations(lens, bound) == expected
-    assert 0 < len(calls) <= 2 * bound
+    assert 0 < len(calls) <= 4 * bound
 
 
-def test_enumerate_builds_each_class_once(monkeypatch):
+def test_enumerate_builds_each_class_once():
     """Exchanging the weights when q*q = 1 (mod p), and beta -> alpha - beta
-    on L(0,1), give the same class, so the sweeps skip one of each pair and
-    every genus-0 class is canonicalised exactly once."""
-    calls = []
-    canonical_form = classify_mod._canonical_form
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return canonical_form(*args, **kwargs)
-
-    monkeypatch.setattr(classify_mod, "_canonical_form", counting)
+    on L(0,1), give the same class, so the sweeps skip one of each pair.  The
+    sweeps keep no set, so a class built twice would show up twice: each form
+    must be canonical and the list strictly increasing."""
     lenses = [LensSpace(0, 1)] + [LensSpace(p, q) for p, q in lens_parameters(30)]
     for lens in lenses:
-        calls.clear()
         got = enumerate_fibrations(lens, 12)
-        assert len(calls) == sum(1 for cf in got if cf.genus == 0), lens
+        assert all(normalize(cf.expand()) == cf for cf in got), lens
+        assert all(a < b for a, b in zip(got, got[1:])), lens
+
+
+def test_enumerate_contains_every_list_of_its_lens():
+    """Membership at large N: each seeded genus-0 list with multiplicities
+    <= N normalises to a class of ``enumerate_fibrations(recognize(f), N)``.
+    ``recognize`` reads the lens off the gluing determinants, not the recipe,
+    so this checks the sweep far past the census gates' N <= 30."""
+    rng, max_mult, checked = random.Random(22), 1500, 0
+    while checked < 60:
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            alpha = rng.randint(2, max_mult)
+            beta = rng.randrange(-alpha, alpha)
+            while gcd(alpha, beta) != 1:
+                beta = rng.randrange(-alpha, alpha)
+            pairs.append((alpha, beta))
+        f = fibration(0, *pairs, (1, rng.randint(-3, 3)))
+        lens = recognize(f)
+        if lens.p < 1:
+            continue
+        got = enumerate_fibrations(lens, max_mult)
+        assert normalize(f) in got, f
+        assert all(a < b for a, b in zip(got, got[1:])), lens
+        checked += 1
+
+
+def test_enumerate_refuses_a_sweep_past_the_guard():
+    """p//2 + max_mult bounds every value of the sweep (its docstring has the
+    proof) and is checked up front: past the guard the sweep would not end,
+    so it is refused at once, while a small bound on the same lens works."""
+    lens = LensSpace(2**62 - 1, 1)
+    with deadline(2), pytest.raises(OverflowLimitError, match="integer guard"):
+        enumerate_fibrations(lens, 2**62 - 2**60)
+    assert len(enumerate_fibrations(lens, 50)) == 1
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,20 @@ def test_enumerate_max_mult_beyond_guard(capsys, lens):
     assert json.loads(out) == {"command": "enumerate", "status": "error", "error": message}
 
 
+def test_enumerate_sweep_past_the_guard_is_refused_at_once(capsys):
+    """max_mult is within the guard, but p//2 + max_mult, which bounds the
+    sweep's values, is not: the call exits 1 at once instead of running on."""
+    argv = ("enumerate", f"--lens={2**62 - 1},1", f"--max-mult={2**62 - 2**60}")
+    message = f"|{2**61 - 1 + 2**62 - 2**60}| exceeds the integer guard {2**62}"
+    with deadline(2):
+        code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    with deadline(2):
+        code, out, err = invoke(capsys, "--json", *argv)
+    assert code == 1 and err == "" and len(out.splitlines()) == 1
+    assert json.loads(out) == {"command": "enumerate", "status": "error", "error": message}
+
+
 @pytest.mark.parametrize("argv, value", [
     (("isotropy", "--lens", f"{2**63},3", "--weights", "1,1"), 2**63),
     (("classify", "--lens", f"{2**63},3", "--pair", "1,1"), 2**63),

@@ -99,9 +99,10 @@ def test_construct_trace_identities():
             (pa1, pb1), (pa2, pb2) = fib.pairs
             assert (pa1, pb1, pa2, pb2) == (tr.alpha1, tr.beta1, tr.alpha2, tr.beta2)
 
-    # enumerate_fibrations calls the recipe directly and trusts its pairs:
+    # enumerate_fibrations runs the same recipe inline and trusts its pairs:
     # M = [[alpha1, alpha1'], [beta1, beta1']] must be unimodular and map
-    # (s, -p) to (alpha2, -beta2), which makes both pairs coprime.
+    # (s, -p) to (alpha2, -beta2), which makes both pairs coprime.  Its one
+    # guard check up front rests on the bounds below, for N = alpha*max|a|.
     rng = random.Random(21)
     for _ in range(5000):
         p = rng.randint(1, 10**12)
@@ -118,6 +119,9 @@ def test_construct_trace_identities():
         assert alpha1 * beta1p - alpha1p * beta1 == 1
         assert (alpha2, -beta2) == (alpha1 * s - alpha1p * p, beta1 * s - beta1p * p)
         assert gcd(alpha1, beta1) == 1 and gcd(alpha2, beta2) == 1
+        n = alpha * max(abs(a10), abs(a20))
+        assert abs(alpha1p) <= n and abs(beta1p) <= n
+        assert abs(beta2) <= (p if abs(alpha1) == 1 else p // 2 + n)
 
 
 def test_construct_errors():

@@ -7,6 +7,7 @@ from helpers import (
     det_bruteforce,
     first_homology_by_presentation,
     lens_parameters,
+    random_pair,
 )
 
 import lensfib.exact_arith
@@ -201,6 +202,36 @@ def test_first_homology_of_lists_whose_whole_matrix_outgrows_the_guard(monkeypat
     fib = parse("M(-1;(-20,13),(-38,33),(35,-16),(27,2))")
     assert first_homology(fib) == (10, 287280)
     assert len(reruns) == 1 and abs(det_bruteforce(reruns[0])) == 10 * 287280
+
+
+def test_modular_rerun_agrees_with_the_plain_pass_under_a_raised_guard(monkeypatch):
+    """On seeded lists whose block trips the guard, so that Smith form reruns
+    modulo the determinant, ``first_homology`` equals the plain elimination's
+    answer with the guard raised out of reach."""
+    reruns = []
+    determinant = lensfib.exact_arith._abs_determinant
+    monkeypatch.setattr(lensfib.exact_arith, "_abs_determinant",
+                        lambda m: reruns.append(m) or determinant(m))
+    pinned = parse("M(1;(60,-97),(-23,57),(25,9),(41,-88),(71,48),(27,83))")
+    rng = random.Random(22)
+    lists = [pinned]
+    for _ in range(3000):
+        alpha_max = rng.choice((100, 1000))
+        pairs = tuple(random_pair(rng, alpha_max) for _ in range(rng.randint(4, 6)))
+        lists.append(SeifertFibration(rng.randint(-2, 2), pairs))
+    rerun = {}
+    for f in lists:
+        count = len(reruns)
+        got = first_homology(f)
+        if len(reruns) > count:
+            rerun[f] = got
+    assert rerun[pinned] == (5778787935, 0, 0)
+    assert len(rerun) > 500
+    monkeypatch.setattr(lensfib.exact_arith, "_int_limit", 10**400)
+    count = len(reruns)
+    for f, got in rerun.items():
+        assert first_homology(f) == got, f
+    assert len(reruns) == count
 
 
 def test_first_homology_cost_does_not_grow_with_the_genus():
