@@ -185,7 +185,8 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
     alpha1 > 0 and beta1 is reduced, so only the second pair needs a flip
     and a divmod.  Flat keys (b,), (b, a, r) or (b, a, r, a', r'), pairs in
     order, sort exactly as the canonical forms do; each form is built once
-    from the sorted keys, after the genus -1 form of L(4,1) or L(4,3).  For
+    from the sorted keys, after the genus -1 form of L(4,1) or L(4,3): the
+    lists M(-1; (1, +-1)) have p = 4, so they are built only then.  For
     p = 0 the classes are M(0; (alpha, beta), (alpha, -beta)), where beta and
     alpha - beta give one class: for 0 < beta <= alpha/2, the sorted forms
     CanonicalForm(0, -1, ((alpha, beta), (alpha, alpha - beta))), then beta = 0.
@@ -232,7 +233,7 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
                     keys.append((b, alpha2, r2, alpha1, beta1))
     keys.sort()
     forms = [normalize(f) for f in (fibration(-1, (1, 1)), fibration(-1, (1, -1)))
-             if lens_equal_oriented(recognize(f), lens)]
+             if lens_equal_oriented(recognize(f), lens)] if p == 4 else []
     for key in keys:
         if len(key) == 5:
             pairs = (SeifertPair(key[1], key[2]), SeifertPair(key[3], key[4]))

@@ -6,9 +6,10 @@ Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
 loudly.  Smith normal form checks its entries after each pivot, not on
-entry, and each other function here its arguments.  Where that trips on a
-square matrix with nonzero determinant D, the same elimination reruns with
-entries kept modulo D; a singular matrix, or a D beyond the guard, raises.
+entry, and the factors it reads off a last block of at most 2x2; each other
+function here checks its arguments.  Where that trips on a square matrix
+with nonzero determinant D, the same elimination reruns with entries kept
+modulo D; a singular matrix, or a D beyond the guard, raises.
 :func:`read_int` reads integer text, refusing one too long to convert.
 The threshold is the constant 2**62.
 """
@@ -92,6 +93,8 @@ def smith_normal_form(matrix) -> list[int]:
     rank deficiency.  Intended for the small relation matrices arising from
     fibration presentations, not as a general-purpose SNF: rows must have
     equal lengths, and entries meet the guard after each pivot, not on entry.
+    A last block of at most 2x2 is not eliminated step by step: its factors
+    are the gcd g of its entries and, for 2x2, |det|/g, and meet the guard.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
@@ -135,12 +138,25 @@ def _abs_determinant(m: list[list[int]]) -> int:
 def _eliminate(m: list[list[int]], rows: int, cols: int, modulus: int = 0) -> list[int]:
     """A diagonal, zeros last, that row and column operations bring ``m`` to.
     The entries are checked against the guard after each pivot, or with a
-    ``modulus`` reduced to symmetric residues by every operation."""
+    ``modulus`` reduced to symmetric residues by every operation.  A last
+    block of at most 2x2 is finished in closed form, with no steps."""
     limit = _int_limit
     half = modulus // 2
     size = min(rows, cols)
     diag = []
     for t in range(size):
+        if rows - t <= 2 and cols - t <= 2:
+            # With at most two rows or columns left, the invariant factors are
+            # the determinantal divisors: the gcd g of the entries, |det|/g for 2x2.
+            g = gcd(*m[t][t:], *m[-1][t:])
+            diag.append(g)
+            if rows - t == cols - t == 2:
+                (a, b), (c, d) = m[t][t:], m[-1][t:]
+                diag.append(abs(a * d - b * c) // g if g else 0)
+            for v in diag[t:]:
+                if v > limit and not modulus:
+                    raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
+            break
         # The nonzero entry of least magnitude is the pivot; a unit ends the search.
         pivot = 0
         for i in range(t, rows):

@@ -13,8 +13,9 @@ and for g < 0 (non-orientable base, |g| crosscaps)
       a_j^-1 h a_j h, [h, q_i], q_i^{a_i} h^{b_i}, q_1...q_n a_1^2...a_|g|^2 >.
 
 First homology is this presentation abelianised: :func:`first_homology`
-reads the relation rows straight from the pairs, with no words.  For a
-lens-space fibration it recovers |H_1| = p independently of the gluing
+reads the relation rows straight from the pairs, with no words, and takes
+the product relator's unit pivot by hand.  For a lens-space fibration it
+recovers |H_1| = p, from a 2x2 block, independently of the gluing
 determinants used by recognition, which makes it a useful cross-check.
 """
 
@@ -82,20 +83,25 @@ def first_homology(f: SeifertFibration) -> tuple[int, ...]:
     The commutators abelianise to zero rows and the surface part splits off:
     on an orientable base the 2g surface columns are zero, giving Z^2g; with
     k crosscaps, taking column a_1 from the others clears them, giving
-    Z^(k-1), and leaves one of the k equal rows 2h.  The Smith form of the
-    square block left on q_1, ..., q_n, h (and a_1) gives the rest; its
-    size does not depend on the genus.
+    Z^(k-1), and leaves one of the k equal rows 2h.  With pairs, the product
+    relator's entry 1 in column q_1 is a unit pivot taken by hand: taking
+    that column from the other q columns, and twice it from a_1, splits off
+    a unit factor.  The Smith form of the square block left on q_2, ..., q_n,
+    h (and a_1) gives the rest; its size does not depend on the genus, and a
+    lens fibration leaves the 2x2 block [[-a_1, b_1], [a_2, b_2]].
     """
     g, pairs = f.genus, f.pairs
     n = len(pairs)
     crosscap = [0] if g < 0 else []
-    rows = []
-    if n or g < 0:  # the product relator first: with pairs it leads with a unit pivot
-        rows.append([1] * n + [0] + [2] * len(crosscap))
-    for i, (alpha, beta) in enumerate(pairs):
-        rows.append([0] * i + [alpha] + [0] * (n - 1 - i) + [beta] + crosscap)
-    if g < 0:
-        rows.append([0] * n + [2, 0])
+    if n:
+        (a1, b1), *rest = pairs
+        rows = [[-a1] * (n - 1) + [b1] + [-2 * a1] * len(crosscap)]
+        for i, (alpha, beta) in enumerate(rest):
+            rows.append([0] * i + [alpha] + [0] * (n - 2 - i) + [beta] + crosscap)
+        if g < 0:
+            rows.append([0] * (n - 1) + [2, 0])
+    else:
+        rows = [[0, 2], [2, 0]] if g < 0 else []
     factors = smith_normal_form(rows) if rows else [0]
     return tuple(d for d in factors if d != 1) + (0,) * (2 * g if g >= 0 else -g - 1)
 

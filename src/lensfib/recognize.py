@@ -25,7 +25,7 @@ from .errors import (
     NotLensSpaceError,
     NotLensSpaceReason,
 )
-from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
+from .exact_arith import check_magnitude, unimodular_complement
 from .seifert import SeifertFibration, normalize
 
 
@@ -84,12 +84,15 @@ def recognize(f: SeifertFibration) -> LensSpace:
         p = a1 * b2 + b1 * a2
         a2p, b2p = unimodular_complement(a2, b2)
         q = a1 * b2p + b1 * a2p
-        lens = lens_normalize(p, q)
-        if lens.p > 2:
-            q_inv = mod_inverse(lens.q, lens.p)
-            if q_inv < lens.q:
-                lens = LensSpace(lens.p, q_inv)
-        return lens
+        # (p, q) is (a1, b1) times a unimodular matrix, so gcd(p, q) = 1.
+        if p < 0:
+            p, q = -p, -q
+        if p == 0:
+            return LensSpace(0, 1)
+        q %= p
+        if p > 2:
+            q = min(q, pow(q, -1, p))
+        return LensSpace(p, q)
     if f.genus == -1:
         if any(abs(a) != 1 for a, _ in f.pairs):
             raise NotLensSpaceError(

@@ -94,7 +94,7 @@ def validate(f: SeifertFibration) -> None:
             raise NotCoprimePairError(
                 f"pair {i} = ({alpha}, {beta}) is not coprime"
             )
-    check_magnitude(f.genus, *(v for pair in f.pairs for v in pair))
+    check_magnitude(f.genus, *chain.from_iterable(f.pairs))
 
 
 # --- equivalence moves -----------------------------------------------------
@@ -220,12 +220,18 @@ def isomorphism_type(f1: SeifertFibration, f2: SeifertFibration) -> IsoType:
 #   fibration := "M(" integer ";" [ pair { "," pair } ] ")"
 #   pair      := "(" integer "," integer ")"
 #
-# Whitespace is ignored everywhere; the canonical text uses none.  _TOKEN cuts
-# the text into integers (group 1) and single other characters, then an empty
-# token at len(text); parse walks them once against the token sequences the
-# grammar expects: "M ( int ;", pairs "( int , int )" separated by commas, then
-# ")" and the end.  The first token that differs gives the error's position.
+# Whitespace is ignored everywhere; the canonical text uses none.  _LIST is
+# the whole grammar as one regex: text it matches is read with one findall of
+# its integers.  Other text, or an integer read_int refuses, goes to the walk,
+# the only source of errors.  _TOKEN cuts the text into integers (group 1) and
+# single other characters, then an empty token at len(text); the walk checks
+# them once against the token sequences the grammar expects: "M ( int ;", pairs
+# "( int , int )" separated by commas, then ")" and the end.  The first token
+# that differs gives the error's position.
 
+_PAIR = r"\(\s*-?\d+\s*,\s*-?\d+\s*\)\s*"
+_LIST = re.compile(rf"\s*M\s*\(\s*-?\d+\s*;\s*(?:{_PAIR}(?:,\s*{_PAIR})*)?\)\s*")
+_INT = re.compile(r"-?\d+")
 _TOKEN = re.compile(r"(-?\d+)|\S|\Z")
 
 
@@ -250,6 +256,13 @@ def _walk(tokens, *expected) -> list[int]:
 
 def parse(text: str) -> SeifertFibration:
     """Parse invariant-list text such as ``M(0;(35,-2),(14,1))``."""
+    if _LIST.fullmatch(text):
+        try:
+            genus, *values = map(read_int, _INT.findall(text))
+        except OverflowLimitError:
+            pass
+        else:
+            return SeifertFibration(genus, tuple(map(SeifertPair, values[::2], values[1::2])))
     tokens = _TOKEN.finditer(text)
     genus, = _walk(tokens, "M", "(", int, ";")
     pairs = []

@@ -43,6 +43,17 @@ MUTANTS = [
      "check_magnitude(max_mult)", ["tests/test_classify.py", "tests/test_cli.py"]),
     # On L(0,1), beta runs up to alpha - 1: each class comes twice, once unsorted.
     ("classify.py", "range(1, alpha // 2 + 1)", "range(1, alpha)", ["tests/test_classify.py"]),
+    # Smith form's closed-form 2x2 block takes |ad + bc| for its determinant.
+    ("exact_arith.py", "abs(a * d - b * c)", "abs(a * d + b * c)",
+     ["tests/test_exact_arith.py", "tests/test_pi1.py"]),
+    # The unit pivot taken by hand clears column a_1 with q_1 once, not twice.
+    ("pi1.py", "[-2 * a1]", "[-a1]", ["tests/test_pi1.py"]),
+    # ... or adds column q_1 to the other q columns instead of taking it.
+    ("pi1.py", "[-a1] * (n - 1)", "[a1] * (n - 1)", ["tests/test_pi1.py"]),
+    # The parse regex lets a comma between pairs be left out.
+    ("seifert.py", r"(?:,\s*", r"(?:,?\s*", ["tests/test_parse_golden.py"]),
+    # recognize keeps q mod p, not the smaller of q and its inverse.
+    ("recognize.py", "min(q, pow(q, -1, p))", "q", ["tests/test_recognize.py"]),
 ]
 
 

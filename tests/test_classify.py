@@ -179,6 +179,19 @@ def test_enumerate_projective_plane_entries():
     assert all(cf.genus == 0 for cf in got)
 
 
+def test_enumerate_recognizes_the_projective_plane_lists_only_for_p_4(monkeypatch):
+    """M(-1; (1, +-1)) has p = 4, so the sweep of another lens neither builds
+    nor recognises it, and L(4,1) and L(4,3) still lead with their genus -1
+    form."""
+    calls = []
+    monkeypatch.setattr(classify_mod, "recognize", lambda f: calls.append(f) or recognize(f))
+    enumerate_fibrations(LensSpace(1997, 5), 110)
+    assert calls == []
+    assert enumerate_fibrations(LensSpace(4, 1), 6)[0] == canon("M(-1;(1,1))")
+    assert enumerate_fibrations(LensSpace(4, 3), 6)[0] == canon("M(-1;(1,-1))")
+    assert len(calls) == 4
+
+
 def test_enumerate_all_recognize_back():
     for p, q in [(1, 0), (4, 1), (5, 2), (7, 3), (12, 5), (0, 1)]:
         lens = LensSpace(p, q)

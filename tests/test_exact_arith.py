@@ -169,6 +169,59 @@ def test_snf_prefix_products_are_gcds_of_minors_random():
         _assert_prefixes_are_gcds_of_minors(m, smith_normal_form(m))
 
 
+def test_snf_blocks_of_at_most_two_rows_or_columns_are_gcds_of_minors(monkeypatch):
+    """Shapes 1xk, kx1, 2x2, 2xk and kx2 (k <= 5), which end in, or are, the
+    block of at most 2x2 finished by its gcd and determinant: seeded entries
+    up to 10**6, with rank-one, zero and scaled matrices among them.  The
+    guard is raised out of reach, as the subject is the factors: on 2xk and
+    kx2 with k >= 3, the Euclidean steps before the block grow some entries
+    past 2**62 (42 of these matrices raise under the default guard)."""
+    monkeypatch.setattr(lensfib.exact_arith, "_int_limit", 10**400)
+    rng = random.Random(2323)
+    shapes = [shape for k in range(1, 6) for shape in ((1, k), (k, 1), (2, k), (k, 2))]
+    for i in range(2000):
+        rows, cols = rng.choice(shapes)
+        if i % 4 == 0:
+            m = [[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)]
+        elif i % 4 == 1:
+            v = [rng.randint(-1000, 1000) for _ in range(cols)]
+            m = [[a * b for b in v] for a in (rng.randint(-1000, 1000) for _ in range(rows))]
+        elif i % 4 == 2:
+            m = [[0] * cols for _ in range(rows)]
+            m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((0, rng.randint(-10**6, 10**6)))
+        else:
+            c = rng.randint(2, 1000)
+            m = [[c * rng.randint(-1000, 1000) for _ in range(cols)] for _ in range(rows)]
+        _assert_prefixes_are_gcds_of_minors(m, smith_normal_form(m))
+
+
+def test_snf_factors_of_the_closed_form_block_meet_the_guard(monkeypatch):
+    """Under a guard of 50, on seeded 2x2 and 3x3 matrices: each matrix with
+    an invariant factor beyond the guard raises, a 2x2 one only then, and
+    every answer is the one the gcds of minors give.  A 3x3 one may also
+    raise on an entry that its first pivot's steps reach."""
+    rng = random.Random(2424)
+    cases = []
+    for _ in range(1000):
+        n, top = rng.choice((2, 3)), rng.choice((3, 9, 50))
+        m = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        factors = smith_normal_form(m)
+        _assert_prefixes_are_gcds_of_minors(m, factors)
+        cases.append((m, factors))
+    lower_guard(monkeypatch, 50)
+    raised = 0
+    for m, factors in cases:
+        beyond = max(factors) > 50
+        try:
+            got = smith_normal_form(m)
+        except OverflowLimitError:
+            assert beyond or len(m) == 3, m
+            raised += 1
+        else:
+            assert got == factors and not beyond, m
+    assert 100 < raised < 900
+
+
 def _random_unimodular_ops(rng, m):
     m = [row[:] for row in m]
     rows, cols = len(m), len(m[0])

@@ -14,9 +14,13 @@ record their outcomes from the current code with
 
 import json
 import random
+import re
 from pathlib import Path
 
-from lensfib import errors, parse
+import pytest
+from helpers import deadline
+
+from lensfib import errors, parse, seifert
 
 CORPUS = Path(__file__).parent / "data" / "parse_golden.jsonl"
 
@@ -98,6 +102,35 @@ def test_corpus_covers_every_outcome():
                    "expected ','", "expected an integer", "trailing input",
                    "-digit integer exceeds", "| exceeds"):
         assert wanted in messages, wanted
+
+
+def test_regex_accepts_exactly_what_the_walk_accepts(monkeypatch):
+    """``parse`` reads text its grammar regex matches in one pass and hands
+    the rest to the token walk.  On the corpus and 20,000 further seeded
+    mutations it gives what the walk alone gives: the same value, or the same
+    error class, message and position."""
+    rng = random.Random(23)
+    texts = [case["text"] for case in CASES]
+    texts += [mutate(rng, rng.choice(BASES)) for _ in range(20_000)]
+    matched = sum(1 for text in texts if seifert._LIST.fullmatch(text))
+    assert 2000 < matched < len(texts) - 2000
+    both = [outcome(text) for text in texts]
+    monkeypatch.setattr(seifert, "_LIST", re.compile("(?!)"))
+    mismatches = [(a, b) for a, b in zip(both, map(outcome, texts)) if a != b]
+    assert not mismatches, f"{len(mismatches)} differ, first {mismatches[0]}"
+
+
+def test_parse_is_linear_in_the_length_of_the_text():
+    """A valid list of 200,000 pairs is read in one pass; the same text
+    without its last ")" is refused by the regex and then by the walk, at
+    its end."""
+    text = "M(0;" + ",".join(["(3,-1)"] * 200_000) + ")"
+    with deadline(3):
+        assert len(parse(text).pairs) == 200_000
+    with deadline(3), pytest.raises(errors.FibrationParseError) as exc:
+        parse(text[:-1])
+    assert (str(exc.value), exc.value.position) == ("expected ')' (at position "
+                                                    f"{len(text) - 1})", len(text) - 1)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import pytest
 from helpers import (
     apply_random_moves,
     deadline,
@@ -130,6 +131,18 @@ def test_first_homology_degenerate_cases():
     assert first_homology(fibration(2)) == (0, 0, 0, 0, 0)
     # flat orientable circle bundle over the projective plane
     assert first_homology(fibration(-1, (1, 0))) == (2, 2)
+
+
+@pytest.mark.parametrize("text, factors", [
+    ("M(-1;)", (2, 2)), ("M(-2;)", (2, 2, 0)), ("M(-1;(2,1))", (8,)), ("M(-2;(3,1))", (12, 0)),
+    ("M(0;(5,2))", (2,)), ("M(1;(3,1))", (0, 0)), ("M(-3;(4,1),(6,-5))", (2, 48, 0, 0)),
+])
+def test_first_homology_around_the_unit_pivot_taken_by_hand(text, factors):
+    """Lists without pairs, with one pair, and with crosscaps: the edge rows
+    of the block left once the product relator's unit pivot is taken."""
+    f = parse(text)
+    assert first_homology(f) == factors
+    assert first_homology_by_presentation(f) == factors
 
 
 def test_first_homology_matches_lens_order():

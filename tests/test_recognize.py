@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from helpers import apply_random_moves, lens_by_plumbing, lens_parameters, random_pair
@@ -96,6 +97,22 @@ def test_recognize_matches_plumbing_oracle():
         assert lens_equal_oriented(recognize(f), lens), f
         chiral += not lens_equal_oriented(lens, lens_reverse(lens))
     assert chiral == 17_080
+
+
+def test_recognize_returns_the_smaller_of_q_and_its_inverse():
+    """Of the two residues that name the same oriented lens, q and q^-1
+    (mod p), ``recognize`` returns the smaller, on 2,000 seeded fibrations
+    constructed on lenses with p up to 10**6."""
+    rng = random.Random(29)
+    done = 0
+    while done < 2000:
+        p = int(10 ** rng.uniform(0, 6))
+        q, a10, a20 = rng.randrange(p), rng.randint(1, 50), rng.randint(-50, 50)
+        if gcd(p, q) != 1 or gcd(a10, a20) != 1 or not a20:
+            continue
+        got = recognize(construct_fibration(LensSpace(p, q), a10, a20).fibration)
+        assert got == LensSpace(p, min(q, pow(q, -1, p))), (p, q, a10, a20)
+        done += 1
 
 
 def test_recognize_rejections():
