@@ -46,6 +46,8 @@ from .seifert import (
     reverse_canonical,
 )
 
+_new = tuple.__new__  # a plain named tuple's __new__, without its Python-level frame
+
 
 class CaseTag(Enum):
     EQUAL_SPLIT = "i-split"
@@ -184,20 +186,22 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
 
     alpha1 > 0 and beta1 is reduced, so only the second pair needs a flip
     and a divmod.  Flat keys (b,), (b, a, r) or (b, a, r, a', r'), pairs in
-    order, sort exactly as the canonical forms do; each form is built once
-    from the sorted keys, after the genus -1 form of L(4,1) or L(4,3): the
-    lists M(-1; (1, +-1)) have p = 4, so they are built only then.  For
-    p = 0 the classes are M(0; (alpha, beta), (alpha, -beta)), where beta and
-    alpha - beta give one class: for 0 < beta <= alpha/2, the sorted forms
-    CanonicalForm(0, -1, ((alpha, beta), (alpha, alpha - beta))), then beta = 0.
+    order, sort exactly as the canonical forms do; each form and pair is built
+    once, straight from its sorted key, by tuple.__new__: that call is all the
+    generated __new__ of these named tuples makes, and they have no check.
+    The genus -1 form of L(4,1) or L(4,3) comes first: M(-1; (1, +-1)) has
+    p = 4, so it is built only then.  For p = 0 the classes are M(0; (alpha,
+    beta), (alpha, -beta)), where beta and alpha - beta give one class: for
+    0 < beta <= alpha/2, the sorted forms CanonicalForm(0, -1, ((alpha, beta),
+    (alpha, alpha - beta))), then beta = 0.
     """
     if max_mult < 1:
         raise InvalidRangeError(f"max_mult must be >= 1, got {max_mult}")
     p = lens.p
     check_magnitude(max_mult, p // 2 + max_mult)
     if p == 0:
-        forms = [CanonicalForm(0, -1, (SeifertPair(alpha, beta),
-                                       SeifertPair(alpha, alpha - beta)))
+        forms = [_new(CanonicalForm, (0, -1, (_new(SeifertPair, (alpha, beta)),
+                                              _new(SeifertPair, (alpha, alpha - beta)))))
                  for alpha in range(2, max_mult + 1) for beta in range(1, alpha // 2 + 1)
                  if gcd(alpha, beta) == 1]
         return forms + [CanonicalForm(0, 0, ())]
@@ -236,8 +240,8 @@ def enumerate_fibrations(lens: LensSpace, max_mult: int) -> list[CanonicalForm]:
              if lens_equal_oriented(recognize(f), lens)] if p == 4 else []
     for key in keys:
         if len(key) == 5:
-            pairs = (SeifertPair(key[1], key[2]), SeifertPair(key[3], key[4]))
+            pairs = (_new(SeifertPair, key[1:3]), _new(SeifertPair, key[3:]))
         else:
-            pairs = (SeifertPair(key[1], key[2]),) if len(key) == 3 else ()
-        forms.append(CanonicalForm(0, key[0], pairs))
+            pairs = (_new(SeifertPair, key[1:]),) if len(key) == 3 else ()
+        forms.append(_new(CanonicalForm, (0, key[0], pairs)))
     return forms

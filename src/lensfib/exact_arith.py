@@ -6,10 +6,11 @@ Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
 loudly.  Smith normal form checks its entries after each pivot, not on
-entry, and the factors it reads off a last block of at most 2x2; each other
-function here checks its arguments.  Where that trips on a square matrix
-with nonzero determinant D, the same elimination reruns with entries kept
-modulo D; a singular matrix, or a D beyond the guard, raises.
+entry, the factors it reads off a last block of at most 2x2, and each factor
+its divisibility chain changes; each other function here checks its
+arguments.  Where that trips on a square matrix with nonzero determinant D,
+the same elimination reruns with entries kept modulo D; a singular matrix,
+or a D beyond the guard, raises.
 :func:`read_int` reads integer text, refusing one too long to convert.
 The threshold is the constant 2**62.
 """
@@ -95,6 +96,7 @@ def smith_normal_form(matrix) -> list[int]:
     equal lengths, and entries meet the guard after each pivot, not on entry.
     A last block of at most 2x2 is not eliminated step by step: its factors
     are the gcd g of its entries and, for 2x2, |det|/g, and meet the guard.
+    So does each factor that the divisibility chain d1 | d2 | ... changes.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
@@ -109,12 +111,13 @@ def smith_normal_form(matrix) -> list[int]:
             raise
         diag = [gcd(v, d) for v in _eliminate(m, rows, cols, d)]
     # gcd and lcm turn the diagonal into the chain of invariant factors; a
-    # unit already divides the rest.
+    # unit already divides the rest, and only an lcm can outgrow the guard.
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             if diag[i] == 1:
                 break
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+            check_magnitude(diag[j])
     return diag
 
 

@@ -9,6 +9,7 @@ from math import gcd
 
 from lensfib import (
     InvalidRangeError,
+    OverflowLimitError,
     SeifertFibration,
     SeifertPair,
     construct_fibration,
@@ -174,6 +175,32 @@ def lens_by_plumbing(f: SeifertFibration):
     for e in reversed(chain):
         rest, whole = whole, e * whole - rest
     return lens_normalize(whole, rest)
+
+
+def invert_recipe(f: SeifertFibration):
+    """The weight pairs whose recipe gives the class of a genus-0 list ``f``
+    on ``recognize(f)`` = L(p,q), p >= 1: ``(w, hits, skipped)``.  The recipe's
+    multiplicities are alpha*|a10| and alpha*|a20| with gcd(a10, a20) = 1,
+    so with ``normalize(f)`` padded to two pairs, alpha = gcd(alpha1, alpha2)
+    and w = (alpha1/alpha, alpha2/alpha) sorted, the class must come from one
+    of (w1, w2), (w1, -w2), (w2, w1), (w2, -w1).  ``hits`` lists the variants
+    whose ``construct_fibration`` normalises to it; ``skipped`` counts those
+    that raise ``OverflowLimitError``, whose own pairs outgrow the guard."""
+    cf = normalize(f)
+    assert cf.genus == 0 and len(cf.pairs) <= 2, cf
+    alpha1, alpha2 = [alpha for alpha, _ in cf.pairs] + [1] * (2 - len(cf.pairs))
+    alpha = gcd(alpha1, alpha2)
+    w1, w2 = sorted((alpha1 // alpha, alpha2 // alpha))
+    lens, hits, skipped = recognize(f), [], 0
+    for weights in ((w1, w2), (w1, -w2), (w2, w1), (w2, -w1)):
+        try:
+            built = construct_fibration(lens, *weights).fibration
+        except OverflowLimitError:
+            skipped += 1
+            continue
+        if normalize(built) == cf:
+            hits.append(weights)
+    return (w1, w2), hits, skipped
 
 
 def isotropy_order_oracle(lens, weights) -> int:

@@ -43,6 +43,11 @@ MUTANTS = [
      "check_magnitude(max_mult)", ["tests/test_classify.py", "tests/test_cli.py"]),
     # On L(0,1), beta runs up to alpha - 1: each class comes twice, once unsorted.
     ("classify.py", "range(1, alpha // 2 + 1)", "range(1, alpha)", ["tests/test_classify.py"]),
+    # The second pair of a two-pair class is built from the first pair's key entries.
+    ("classify.py", "_new(SeifertPair, key[3:])", "_new(SeifertPair, key[1:3])",
+     ["tests/test_enumerate_corpus.py"]),
+    # Smith form's divisibility chain returns its lcm unchecked.
+    ("exact_arith.py", "            check_magnitude(diag[j])\n", "", ["tests/test_exact_arith.py"]),
     # Smith form's closed-form 2x2 block takes |ad + bc| for its determinant.
     ("exact_arith.py", "abs(a * d - b * c)", "abs(a * d + b * c)",
      ["tests/test_exact_arith.py", "tests/test_pi1.py"]),

@@ -9,6 +9,7 @@ from helpers import (
     coprime_pairs,
     deadline,
     enumerate_by_construction,
+    invert_recipe,
     lens_parameters,
     variants,
 )
@@ -261,6 +262,34 @@ def test_enumerate_contains_every_list_of_its_lens():
         assert normalize(f) in got, f
         assert all(a < b for a, b in zip(got, got[1:])), lens
         checked += 1
+
+
+def test_every_list_inverts_to_a_recipe_weight_pair():
+    """Completeness on each list, at any p: every seeded genus-0 list on a
+    lens with p >= 1 comes from the recipe on one of the four variants of
+    its own weight pair, and where all four fit the guard, the variants that
+    give its class number 4 / class_count of ``predicted_case``."""
+    rng, checked, tags = random.Random(24), 0, []
+    while checked < 20_000:
+        scale = rng.choice((10, 10**3, 10**6))
+        pairs = []
+        for _ in range(rng.randint(0, 2)):
+            alpha, beta = rng.randint(1, scale) * rng.choice((-1, 1)), rng.randint(-scale, scale)
+            if gcd(alpha, beta) == 1:
+                pairs.append((alpha, beta))
+        f = fibration(0, *pairs, (1, rng.randint(-scale, scale)))
+        lens = recognize(f)
+        if lens.p < 1:
+            continue
+        w, hits, skipped = invert_recipe(f)
+        assert hits, f
+        if not skipped:
+            prediction = predicted_case(lens, *w)
+            assert len(hits) * prediction.class_count == 4, (f, w, hits)
+            tags.append(prediction.tag)
+        checked += 1
+    # Lists with a variant past the guard, about 4 in 100, are not counted.
+    assert len(tags) > 19_000 and set(tags) == set(CaseTag)
 
 
 def test_enumerate_refuses_a_sweep_past_the_guard():

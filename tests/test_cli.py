@@ -8,7 +8,7 @@ import pytest
 from helpers import deadline, lower_guard
 
 from lensfib import classify as classify_mod
-from lensfib import cli, parse, unparse
+from lensfib import LensSpace, cli, enumerate_fibrations, parse, unparse
 from lensfib.cli import run
 
 
@@ -108,6 +108,17 @@ def test_enumerate(capsys):
     assert code == 0
     fibs = [parse(line) for line in out.splitlines()]
     assert len(fibs) == 2
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (4, 1), (4, 3), (7, 2), (120, 49)])
+def test_canonical_json_is_the_form_and_its_expanded_text(p, q):
+    """The canonical payload is written without rebuilding a checked list,
+    and must equal the form's fields and ``unparse`` of the list it expands
+    to, field order included; genus -1 and pair-free forms are among these."""
+    for cf in enumerate_fibrations(LensSpace(p, q), 15):
+        expected = dict(cf._asdict(), fibration=unparse(cf.expand()))
+        got = cli._canonical_json(cf)
+        assert list(got.items()) == list(expected.items()), cf
 
 
 def test_model_and_isotropy(capsys):

@@ -222,6 +222,16 @@ def test_snf_factors_of_the_closed_form_block_meet_the_guard(monkeypatch):
     assert 100 < raised < 900
 
 
+def test_snf_factors_of_the_divisibility_chain_meet_the_guard(monkeypatch):
+    """Elimination leaves the diagonal (5, 1, 42) of diag(5, 6, 7), within a
+    guard of 50; the chain's lcm 210 is beyond it and raises, while diag(2, 3, 7)
+    reaches its factor 42 through the chain."""
+    lower_guard(monkeypatch, 50)
+    with pytest.raises(OverflowLimitError, match=r"^\|210\| exceeds the integer guard 50$"):
+        smith_normal_form([[5, 0, 0], [0, 6, 0], [0, 0, 7]])
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 7]]) == [1, 1, 42]
+
+
 def _random_unimodular_ops(rng, m):
     m = [row[:] for row in m]
     rows, cols = len(m), len(m[0])
