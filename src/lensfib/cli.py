@@ -105,12 +105,9 @@ _TEXT = Argument({}, _same)
 _INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_int(text))
 
 
-# Payloads keep the library's tuples, which json.dumps writes as arrays; the
-# text is unparse(cf.expand()), written without rebuilding a checked list.
+# Payloads keep the library's tuples, which json.dumps writes as arrays.
 def _canonical_json(cf: CanonicalForm) -> dict:
-    pairs = "".join(f"({alpha},{beta})," for alpha, beta in cf.pairs)
-    return {"genus": cf.genus, "b": cf.b, "pairs": cf.pairs,
-            "fibration": f"M({cf.genus};{pairs}(1,{cf.b}))"}
+    return dict(cf._asdict(), fibration=unparse(cf.expand()))
 
 
 def _fibration_result(fib) -> dict:

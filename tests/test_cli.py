@@ -8,7 +8,7 @@ import pytest
 from helpers import deadline, lower_guard
 
 from lensfib import classify as classify_mod
-from lensfib import LensSpace, cli, enumerate_fibrations, parse, unparse
+from lensfib import cli, parse, unparse
 from lensfib.cli import run
 
 
@@ -110,15 +110,20 @@ def test_enumerate(capsys):
     assert len(fibs) == 2
 
 
-@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (4, 1), (4, 3), (7, 2), (120, 49)])
-def test_canonical_json_is_the_form_and_its_expanded_text(p, q):
-    """The canonical payload is written without rebuilding a checked list,
-    and must equal the form's fields and ``unparse`` of the list it expands
-    to, field order included; genus -1 and pair-free forms are among these."""
-    for cf in enumerate_fibrations(LensSpace(p, q), 15):
-        expected = dict(cf._asdict(), fibration=unparse(cf.expand()))
-        got = cli._canonical_json(cf)
-        assert list(got.items()) == list(expected.items()), cf
+@pytest.mark.parametrize("guard, text, total", [
+    (2**62, f"M(0;(1,{2**62}),(1,{2**62}))", 2**63),
+    (50, "M(0;(1,30),(1,30))", 60),
+], ids=["default-guard", "guard-50"])
+def test_normalize_refuses_a_b_beyond_the_guard(capsys, monkeypatch, guard, text, total):
+    """Each pair is within the guard but the b that normalize sums is not:
+    the canonical list would not parse back, so the command exits 1."""
+    if guard != 2**62:
+        lower_guard(monkeypatch, guard)
+    message = f"|{total}| exceeds the integer guard {guard}"
+    assert invoke(capsys, "normalize", text) == (1, "", f"error: {message}\n")
+    code, out, err = invoke(capsys, "--json", "normalize", text)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"command": "normalize", "status": "error", "error": message}
 
 
 def test_model_and_isotropy(capsys):
