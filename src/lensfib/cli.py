@@ -107,7 +107,7 @@ _INT = Argument({"required": True, "type": _int_text}, lambda text, flag: read_i
 
 # Payloads keep the library's tuples, which json.dumps writes as arrays.
 def _canonical_json(cf: CanonicalForm) -> dict:
-    return dict(cf._asdict(), fibration=unparse(cf.expand()))
+    return {"genus": cf.genus, "b": cf.b, "pairs": cf.pairs, "fibration": unparse(cf)}
 
 
 def _fibration_result(fib) -> dict:

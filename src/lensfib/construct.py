@@ -34,6 +34,8 @@ from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
 from .recognize import LensSpace
 from .seifert import SeifertFibration, SeifertPair
 
+_new = tuple.__new__  # a plain named tuple's __new__, without its Python-level frame
+
 
 class GluingChoice(NamedTuple):
     """Integers (r, s) with q*s + p*r = 1 for the solid-torus gluing."""
@@ -67,12 +69,13 @@ class ModelWeights(Checked, NamedTuple("ModelWeights", [("k1", int), ("k2", int)
 
     __slots__ = ()
 
-    def _check(self):
-        check_magnitude(self.k1, self.k2)
-        if self.k1 == 0 or self.k2 == 0:
+    def __new__(cls, k1: int, k2: int):
+        check_magnitude(k1, k2)
+        if k1 == 0 or k2 == 0:
             raise ZeroWeightError("model weights must be non-zero")
-        if gcd(self.k1, self.k2) != 1:
-            raise NotCoprimeError(f"gcd({self.k1}, {self.k2}) != 1")
+        if gcd(k1, k2) != 1:
+            raise NotCoprimeError(f"gcd({k1}, {k2}) != 1")
+        return _new(cls, (k1, k2))
 
 
 # Bounded so that a long-lived process does not grow with every lens it meets.
@@ -84,7 +87,7 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     s = mod_inverse(q, p)
     r = (1 - q * s) // p
     assert q * s + p * r == 1
-    return GluingChoice(r, s)
+    return _new(GluingChoice, (r, s))
 
 
 def _recipe(p: int, s: int, a10: int, a20: int, u: int):
@@ -118,10 +121,10 @@ def construct_fibration(lens: LensSpace, a10: int, a20: int) -> Construction:
 
     r, s = gluing_choice(p, q)
     u = gcd(p, s * a10 - a20)
-    trace = ConstructionTrace(u, *_recipe(p, s, a10, a20, u), r, s)
-    fib = SeifertFibration(0, (SeifertPair(trace.alpha1, trace.beta1),
-                               SeifertPair(trace.alpha2, trace.beta2)))
-    return Construction(fib, trace)
+    trace = _new(ConstructionTrace, (u, *_recipe(p, s, a10, a20, u), r, s))
+    fib = SeifertFibration(0, (_new(SeifertPair, (trace.alpha1, trace.beta1)),
+                               _new(SeifertPair, (trace.alpha2, trace.beta2))))
+    return _new(Construction, (fib, trace))
 
 
 def construct_s2xs1(alpha: int, beta: int) -> SeifertFibration:

@@ -69,15 +69,10 @@ class PredictionMismatchError(RuntimeError):
 
 
 class Checked:
-    """Base of a named tuple whose ``_check`` runs however one is built: by
-    ``__new__``, ``_make`` and so ``_replace``, ``pickle`` or ``copy``."""
+    """Base of a named tuple whose own ``__new__`` checks its fields; ``_make``
+    (so ``_replace``), ``pickle`` and ``copy`` call it, so every build checks."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
 
     @classmethod
     def _make(cls, iterable):

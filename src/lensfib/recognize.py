@@ -35,17 +35,18 @@ class LensSpace(Checked, NamedTuple("LensSpace", [("p", int), ("q", int)])):
 
     __slots__ = ()
 
-    def _check(self):
-        check_magnitude(self.p, self.q)
-        if self.p < 0:
-            raise InvalidRangeError(f"p must be >= 0, got {self.p}")
-        if self.p == 0:
-            if self.q != 1:
+    def __new__(cls, p: int, q: int):
+        check_magnitude(p, q)
+        if p < 0:
+            raise InvalidRangeError(f"p must be >= 0, got {p}")
+        if p == 0:
+            if q != 1:
                 raise InvalidRangeError("the p = 0 lens space is L(0, 1)")
-        elif not 0 <= self.q < self.p:
-            raise InvalidRangeError(f"q = {self.q} not normalized for p = {self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise NotCoprimeError(f"gcd({self.p}, {self.q}) != 1")
+        elif not 0 <= q < p:
+            raise InvalidRangeError(f"q = {q} not normalized for p = {p}")
+        if gcd(p, q) != 1:
+            raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+        return tuple.__new__(cls, (p, q))
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"

@@ -10,9 +10,9 @@ multiples of their alphas with total shift zero, and negating both entries
 of a pair.  Replacing every beta by its negative yields the orientation
 reversal.
 
-An invariant list is checked however it is built: ``SeifertFibration``
-calls :func:`validate`, so ``parse`` raises ``NotCoprimePairError`` or
-``ZeroAlphaError`` on a bad pair and nothing that takes a list checks it
+An invariant list is checked however it is built: ``SeifertFibration``'s own
+``__new__`` calls :func:`validate`, so ``parse`` raises ``NotCoprimePairError``
+or ``ZeroAlphaError`` on a bad pair and nothing that takes a list checks it
 again.  It takes ``SeifertPair``s; :func:`fibration` takes plain tuples.
 
 Normalising (all alphas positive, betas reduced into [0, alpha), multiplicity
@@ -41,6 +41,8 @@ from .exact_arith import check_magnitude, read_int
 if TYPE_CHECKING:
     from fractions import Fraction
 
+_new = tuple.__new__  # a plain named tuple's __new__, without its Python-level frame
+
 
 class SeifertPair(NamedTuple):
     alpha: int
@@ -56,8 +58,10 @@ class SeifertFibration(Checked, NamedTuple("SeifertFibration", [
 
     __slots__ = ()
 
-    def _check(self):
+    def __new__(cls, genus: int, pairs: tuple[SeifertPair, ...]):
+        self = _new(cls, (genus, pairs))
         validate(self)
+        return self
 
     def __str__(self) -> str:
         return unparse(self)
@@ -166,9 +170,10 @@ def normalize(f: SeifertFibration) -> CanonicalForm:
         q, r = divmod(beta, alpha)
         b += q
         if alpha > 1:
-            kept.append(SeifertPair(alpha, r))
+            kept.append(_new(SeifertPair, (alpha, r)))
     kept.sort()
-    return CanonicalForm(f.genus, b, tuple(kept))
+    check_magnitude(b)
+    return _new(CanonicalForm, (f.genus, b, tuple(kept)))
 
 
 def reverse_orientation(f: SeifertFibration) -> SeifertFibration:
@@ -183,7 +188,9 @@ def reverse_canonical(cf: CanonicalForm) -> CanonicalForm:
     quotient -1; together with the negated ``b`` that gives -b - n for n pairs.
     """
     pairs = sorted(SeifertPair(a, a - r) for a, r in cf.pairs)
-    return CanonicalForm(cf.genus, -cf.b - len(cf.pairs), tuple(pairs))
+    b = -cf.b - len(cf.pairs)
+    check_magnitude(b)
+    return CanonicalForm(cf.genus, b, tuple(pairs))
 
 
 def euler_number(f: SeifertFibration) -> Fraction:
@@ -262,7 +269,8 @@ def parse(text: str) -> SeifertFibration:
         except OverflowLimitError:
             pass
         else:
-            return SeifertFibration(genus, tuple(map(SeifertPair, values[::2], values[1::2])))
+            return SeifertFibration(genus, tuple([
+                _new(SeifertPair, pair) for pair in zip(values[::2], values[1::2])]))
     tokens = _TOKEN.finditer(text)
     genus, = _walk(tokens, "M", "(", int, ";")
     pairs = []
@@ -271,13 +279,15 @@ def parse(text: str) -> SeifertFibration:
     while token[0] == "," or not pairs and token[0] != ")":
         if pairs:
             token = next(tokens)
-        pairs.append(SeifertPair(*_walk(chain([token], tokens), "(", int, ",", int, ")")))
+        pairs.append(_new(SeifertPair, _walk(chain([token], tokens), "(", int, ",", int, ")")))
         token = next(tokens)
     _walk(chain([token], tokens), ")", "")
     return SeifertFibration(genus, tuple(pairs))
 
 
-def unparse(f: SeifertFibration) -> str:
-    """Canonical text form: no whitespace, pairs in stored order."""
-    body = ",".join(f"({a},{b})" for a, b in f.pairs)
+def unparse(f: SeifertFibration | CanonicalForm) -> str:
+    """Canonical text form: no whitespace, pairs in stored order.  A
+    ``CanonicalForm`` is written as the list it expands to, (1,b) last."""
+    pairs = f.pairs + ((1, f.b),) if isinstance(f, CanonicalForm) else f.pairs
+    body = ",".join(f"({a},{b})" for a, b in pairs)
     return f"M({f.genus};{body})"

@@ -59,6 +59,18 @@ MUTANTS = [
     ("seifert.py", r"(?:,\s*", r"(?:,?\s*", ["tests/test_parse_golden.py"]),
     # recognize keeps q mod p, not the smaller of q and its inverse.
     ("recognize.py", "min(q, pow(q, -1, p))", "q", ["tests/test_recognize.py"]),
+    # SeifertFibration's __new__ builds the tuple but never validates it.
+    ("seifert.py", "        validate(self)\n", "", ["tests/test_value_types.py"]),
+    # normalize returns a b summed beyond the guard.
+    ("seifert.py", "    check_magnitude(b)\n    return _new(CanonicalForm",
+     "    return _new(CanonicalForm", ["tests/test_cli.py"]),
+    # ... and reverse_canonical its b less the pair count, unchecked.
+    ("seifert.py", "    check_magnitude(b)\n    return CanonicalForm(",
+     "    return CanonicalForm(", ["tests/test_seifert.py"]),
+    # LensSpace's __new__ takes any q coprime to p, not only 0 <= q < p.
+    ("recognize.py", "        elif not 0 <= q < p:\n"
+     "            raise InvalidRangeError(f\"q = {q} not normalized for p = {p}\")\n", "",
+     ["tests/test_value_types.py"]),
 ]
 
 

@@ -126,6 +126,17 @@ def test_normalize_refuses_a_b_beyond_the_guard(capsys, monkeypatch, guard, text
     assert json.loads(out) == {"command": "normalize", "status": "error", "error": message}
 
 
+def test_iso_refuses_a_b_beyond_the_guard(capsys):
+    """Both lists normalise to the same b = 2**63, which is beyond the guard:
+    iso exits 1 as normalize does, rather than comparing the two forms."""
+    text = f"M(0;(1,{2**62}),(1,{2**62}))"
+    message = f"|{2**63}| exceeds the integer guard {2**62}"
+    assert invoke(capsys, "iso", text, text) == (1, "", f"error: {message}\n")
+    code, out, err = invoke(capsys, "--json", "iso", text, text)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"command": "iso", "status": "error", "error": message}
+
+
 def test_model_and_isotropy(capsys):
     code, out, _ = invoke(capsys, "model", "--lens", "7,2", "--weights", "2,5")
     assert code == 0

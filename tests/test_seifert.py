@@ -146,6 +146,20 @@ def test_reverse_canonical_matches_reversed_list():
         assert reverse_canonical(normalize(f)) == normalize(reverse_orientation(f))
 
 
+def test_reverse_canonical_refuses_a_b_beyond_the_guard_as_normalize_does():
+    """The pair (2,1) adds -1 to the reversed b: 2**62 is within the guard,
+    -2**62 - 1 is not, whichever way it is computed."""
+    f = fibration(0, (1, 2**62), (2, 1))
+    assert normalize(f).b == 2**62
+    message = rf"\|{-2**62 - 1}\| exceeds the integer guard"
+    with pytest.raises(OverflowLimitError, match=message):
+        normalize(reverse_orientation(f))
+    with pytest.raises(OverflowLimitError, match=message):
+        reverse_canonical(normalize(f))
+    with pytest.raises(OverflowLimitError, match=message):
+        isomorphism_type(f, f)
+
+
 def test_euler_number_examples():
     for p in (0, 1, 5, -7):
         assert euler_number(fibration(0, (1, p))) == -p

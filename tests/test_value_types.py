@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from lensfib import (
+    CanonicalForm,
+    ConstructionTrace,
     InvalidRangeError,
     LensSpace,
     NotCoprimePairError,
@@ -18,11 +20,13 @@ from lensfib import (
     SeifertPair,
     ZeroAlphaError,
     classify_pair,
+    construct_fibration,
     fibration,
+    normalize,
     parse,
 )
 from lensfib.cli import run
-from lensfib.construct import ModelWeights
+from lensfib.construct import Construction, GluingChoice, ModelWeights, gluing_choice
 from lensfib.errors import NotCoprimeError, ZeroWeightError
 from lensfib.seifert import euler_number
 
@@ -31,7 +35,9 @@ FIB = fibration(0, (35, 33), (14, -13))
 WEIGHTS = ModelWeights(2, 3)
 VALUES = [LENS, FIB, WEIGHTS]
 
-# Each way of building a checked type that a plain named tuple leaves unchecked.
+# Each way of building a checked type that a plain named tuple leaves unchecked,
+# then each wrong number or name of arguments, which the signature of the type's
+# own __new__ refuses with a TypeError, as the generated __new__ does.
 INVALID = {
     "lens-replace": (lambda: LENS._replace(q=14), InvalidRangeError),
     "lens-make": (lambda: LensSpace._make((0, 2)), InvalidRangeError),
@@ -41,6 +47,19 @@ INVALID = {
     "fibration-replace": (lambda: FIB._replace(pairs=(SeifertPair(0, 1),)), ZeroAlphaError),
     "weights-replace": (lambda: WEIGHTS._replace(k2=4), NotCoprimeError),
     "weights-make": (lambda: ModelWeights._make((0, 1)), ZeroWeightError),
+    "lens-one": (lambda: LensSpace(7), TypeError),
+    "lens-three": (lambda: LensSpace(7, 2, 1), TypeError),
+    "lens-unknown-keyword": (lambda: LensSpace(p=7, r=2), TypeError),
+    "lens-make-short": (lambda: LensSpace._make((7,)), TypeError),
+    "lens-make-long": (lambda: LensSpace._make((7, 2, 1)), TypeError),
+    "fibration-one": (lambda: SeifertFibration(0), TypeError),
+    "fibration-three": (lambda: SeifertFibration(0, (), ()), TypeError),
+    "fibration-unknown-keyword": (lambda: SeifertFibration(genus=0, pair=()), TypeError),
+    "fibration-make-short": (lambda: SeifertFibration._make((0,)), TypeError),
+    "weights-none": (lambda: ModelWeights(), TypeError),
+    "weights-three": (lambda: ModelWeights(2, 3, 5), TypeError),
+    "weights-unknown-keyword": (lambda: ModelWeights(k1=2, k3=3), TypeError),
+    "weights-make-long": (lambda: ModelWeights._make((2, 3, 5)), TypeError),
 }
 
 
@@ -50,7 +69,31 @@ def test_every_way_of_building_checks(build, error):
         build()
 
 
-@pytest.mark.parametrize("value", VALUES, ids=type)
+CONSTRUCTION = construct_fibration(LENS, 5, 2)
+TRACE = CONSTRUCTION.trace
+
+# Each plain record the library builds with tuple.__new__, and the same value
+# built through its public constructor.
+RECORDS = {
+    "normalize": (normalize(FIB), CanonicalForm(
+        0, -1, (SeifertPair(14, 1), SeifertPair(35, 33)))),
+    "parse": (parse("M(0;(35,33),(14,-13))").pairs[1], SeifertPair(14, -13)),
+    "construct": (CONSTRUCTION, Construction(
+        SeifertFibration(0, (SeifertPair(35, 33), SeifertPair(14, -13))),
+        ConstructionTrace(*TRACE))),
+    "construct-trace": (TRACE, ConstructionTrace(1, 7, 35, 14, 18, 33, 17, -13, -1, 4)),
+    "gluing_choice": (gluing_choice(7, 2), GluingChoice(-1, 4)),
+}
+
+
+@pytest.mark.parametrize("built, public", RECORDS.values(), ids=RECORDS.keys())
+def test_records_built_in_one_step_equal_the_public_constructors(built, public):
+    assert type(built) is type(public) and built == public
+    # The repr names the type of every record nested in the value.
+    assert repr(built) == repr(public)
+
+
+@pytest.mark.parametrize("value", [*VALUES, normalize(FIB), CONSTRUCTION, TRACE], ids=type)
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
