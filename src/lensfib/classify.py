@@ -33,8 +33,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .construct import construct_fibration, gluing_choice
-from .errors import InvalidRangeError, NotCoprimeError, PredictionMismatchError
-from .exact_arith import check_magnitude
+from .errors import InvalidRangeError, PredictionMismatchError
+from .exact_arith import check_coprime, check_magnitude
 from .pi1 import BaseOrbifold, base_orbifold
 from .recognize import LensSpace, lens_equal_oriented, recognize
 from .seifert import (
@@ -72,8 +72,7 @@ def predicted_case(lens: LensSpace, m1: int, m2: int) -> CasePrediction:
     """Class counts and pairwise predicates for the weight pair {m1, m2}."""
     if m1 < 1 or m2 < 1:
         raise InvalidRangeError(f"weights must be >= 1, got ({m1}, {m2})")
-    if gcd(m1, m2) != 1:
-        raise NotCoprimeError(f"gcd({m1}, {m2}) != 1")
+    check_coprime(m1, m2)
     if lens.p < 1:
         raise InvalidRangeError("the census needs p >= 1")
 

@@ -29,8 +29,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import Checked, InvalidRangeError, NotCoprimeError, ZeroWeightError
-from .exact_arith import check_magnitude, mod_inverse, unimodular_complement
+from .errors import Checked, InvalidRangeError, ZeroWeightError
+from .exact_arith import check_coprime, check_magnitude, mod_inverse, unimodular_complement
 from .recognize import LensSpace
 from .seifert import SeifertFibration, SeifertPair
 
@@ -73,8 +73,7 @@ class ModelWeights(Checked, NamedTuple("ModelWeights", [("k1", int), ("k2", int)
         check_magnitude(k1, k2)
         if k1 == 0 or k2 == 0:
             raise ZeroWeightError("model weights must be non-zero")
-        if gcd(k1, k2) != 1:
-            raise NotCoprimeError(f"gcd({k1}, {k2}) != 1")
+        check_coprime(k1, k2)
         return _new(cls, (k1, k2))
 
 
@@ -90,23 +89,6 @@ def gluing_choice(p: int, q: int) -> GluingChoice:
     return _new(GluingChoice, (r, s))
 
 
-def _recipe(p: int, s: int, a10: int, a20: int, u: int):
-    """The recipe's integers (alpha, alpha1, alpha2, alpha1', beta1, beta1',
-    beta2) for p >= 1, q*s = 1 (mod p), coprime non-zero weights and
-    u = gcd(p, s*a10 - a20).  It checks only beta1', which no pair holds,
-    against the guard; the caller checks what it cannot prove of the pairs."""
-    alpha = p // u
-    alpha1 = alpha * a10
-    alpha2 = alpha * a20
-    alpha1_prime = (s * a10 - a20) // u
-    beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
-    beta2 = -s * beta1 + p * beta1_prime
-
-    assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
-    check_magnitude(beta1_prime)
-    return alpha, alpha1, alpha2, alpha1_prime, beta1, beta1_prime, beta2
-
-
 def construct_fibration(lens: LensSpace, a10: int, a20: int) -> Construction:
     """Fibration of ``lens`` with prescribed coprime weight pair (a10, a20)."""
     p, q = lens.p, lens.q
@@ -116,14 +98,24 @@ def construct_fibration(lens: LensSpace, a10: int, a20: int) -> Construction:
         )
     if a10 == 0 or a20 == 0:
         raise ZeroWeightError(f"weights must be non-zero, got ({a10}, {a20})")
-    if gcd(a10, a20) != 1:
-        raise NotCoprimeError(f"gcd({a10}, {a20}) != 1")
+    check_coprime(a10, a20)
 
     r, s = gluing_choice(p, q)
     u = gcd(p, s * a10 - a20)
-    trace = _new(ConstructionTrace, (u, *_recipe(p, s, a10, a20, u), r, s))
-    fib = SeifertFibration(0, (_new(SeifertPair, (trace.alpha1, trace.beta1)),
-                               _new(SeifertPair, (trace.alpha2, trace.beta2))))
+    alpha = p // u
+    alpha1 = alpha * a10
+    alpha2 = alpha * a20
+    alpha1_prime = (s * a10 - a20) // u
+    beta1, beta1_prime = unimodular_complement(alpha1, alpha1_prime)
+    beta2 = -s * beta1 + p * beta1_prime
+
+    assert alpha1 * beta2 + beta1 * alpha2 == p, (p, s, a10, a20)
+    # beta1' is in no pair, so the fibration's own check does not reach it.
+    check_magnitude(beta1_prime)
+    fib = SeifertFibration(0, (_new(SeifertPair, (alpha1, beta1)),
+                               _new(SeifertPair, (alpha2, beta2))))
+    trace = _new(ConstructionTrace, (u, alpha, alpha1, alpha2, alpha1_prime,
+                                     beta1, beta1_prime, beta2, r, s))
     return _new(Construction, (fib, trace))
 
 
@@ -132,8 +124,7 @@ def construct_s2xs1(alpha: int, beta: int) -> SeifertFibration:
     M(0; (alpha, beta), (alpha, -beta)) for coprime alpha > 0, beta >= 0."""
     if alpha < 1 or beta < 0:
         raise InvalidRangeError(f"need alpha >= 1 and beta >= 0, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise NotCoprimeError(f"gcd({alpha}, {beta}) != 1")
+    check_coprime(alpha, beta)
     return SeifertFibration(0, (SeifertPair(alpha, beta), SeifertPair(alpha, -beta)))
 
 
@@ -145,8 +136,7 @@ def s3_fibration(a1: int, a2: int) -> SeifertFibration:
     """
     if a1 < 1 or a2 < 1 or a1 < a2:
         raise InvalidRangeError(f"need a1 >= a2 >= 1, got ({a1}, {a2})")
-    if gcd(a1, a2) != 1:
-        raise NotCoprimeError(f"gcd({a1}, {a2}) != 1")
+    check_coprime(a1, a2)
     b1 = mod_inverse(a2, a1)
     b2 = (1 - b1 * a2) // a1
     return SeifertFibration(0, (SeifertPair(a1, b1), SeifertPair(a2, b2)))

@@ -5,12 +5,12 @@ a coprime column to a determinant-one matrix, and Smith normal form.
 Python integers are arbitrary precision, so every operation here is exact
 by construction.  The documented contract nevertheless promises that values
 stay below a fixed magnitude; :func:`check_magnitude` enforces that promise
-loudly.  Smith normal form checks its entries after each pivot, not on
-entry, the factors it reads off a last block of at most 2x2, and each factor
-its divisibility chain changes; each other function here checks its
-arguments.  Where that trips on a square matrix with nonzero determinant D,
-the same elimination reruns with entries kept modulo D; a singular matrix,
-or a D beyond the guard, raises.
+loudly, and :func:`check_coprime` refuses a pair with a common factor.
+Each function here checks its arguments, except Smith normal form, which
+checks its finished chain of invariant factors once.  Its elimination checks
+the entries after each pivot only to decide on a rerun: where that trips on
+a square matrix with nonzero determinant D, the same elimination reruns with
+entries kept modulo D; a singular matrix, or a D beyond the guard, raises.
 :func:`read_int` reads integer text, refusing one too long to convert.
 The threshold is the constant 2**62.
 """
@@ -32,6 +32,12 @@ def check_magnitude(*values: int) -> None:
     for v in values:
         if v > limit or -v > limit:
             raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
+
+
+def check_coprime(a: int, b: int) -> None:
+    """Fail loudly unless gcd(a, b) = 1."""
+    if gcd(a, b) != 1:
+        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
 
 
 _DIGITS = re.compile(r"\s*([+-]?)(\d(?:_?\d)*)\s*")
@@ -93,10 +99,13 @@ def smith_normal_form(matrix) -> list[int]:
     Returns min(rows, cols) non-negative entries; trailing zeros indicate
     rank deficiency.  Intended for the small relation matrices arising from
     fibration presentations, not as a general-purpose SNF: rows must have
-    equal lengths, and entries meet the guard after each pivot, not on entry.
-    A last block of at most 2x2 is not eliminated step by step: its factors
-    are the gcd g of its entries and, for 2x2, |det|/g, and meet the guard.
-    So does each factor that the divisibility chain d1 | d2 | ... changes.
+    equal lengths.  The finished chain d1 | d2 | ... meets the guard once.
+    Entries are not checked on entry; the elimination checks them after each
+    pivot, and a check that trips there starts the rerun modulo |det|.  A
+    last block of at most 2x2 is not eliminated step by step: its factors are
+    the gcd g of its entries and, for 2x2, |det|/g.  The last chain factor is
+    the lcm of the diagonal, so a block factor beyond the guard is a real
+    factor, which the chain's check refuses, as a rerun would.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
@@ -111,13 +120,13 @@ def smith_normal_form(matrix) -> list[int]:
             raise
         diag = [gcd(v, d) for v in _eliminate(m, rows, cols, d)]
     # gcd and lcm turn the diagonal into the chain of invariant factors; a
-    # unit already divides the rest, and only an lcm can outgrow the guard.
+    # unit already divides the rest.
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             if diag[i] == 1:
                 break
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-            check_magnitude(diag[j])
+    check_magnitude(*diag)
     return diag
 
 
@@ -142,8 +151,8 @@ def _eliminate(m: list[list[int]], rows: int, cols: int, modulus: int = 0) -> li
     """A diagonal, zeros last, that row and column operations bring ``m`` to.
     The entries are checked against the guard after each pivot, or with a
     ``modulus`` reduced to symmetric residues by every operation.  A last
-    block of at most 2x2 is finished in closed form, with no steps."""
-    limit = _int_limit
+    block of at most 2x2 is finished in closed form, with no steps and no
+    check: the caller checks the chain it makes of the diagonal."""
     half = modulus // 2
     size = min(rows, cols)
     diag = []
@@ -156,9 +165,6 @@ def _eliminate(m: list[list[int]], rows: int, cols: int, modulus: int = 0) -> li
             if rows - t == cols - t == 2:
                 (a, b), (c, d) = m[t][t:], m[-1][t:]
                 diag.append(abs(a * d - b * c) // g if g else 0)
-            for v in diag[t:]:
-                if v > limit and not modulus:
-                    raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
             break
         # The nonzero entry of least magnitude is the pivot; a unit ends the search.
         pivot = 0
@@ -207,9 +213,7 @@ def _eliminate(m: list[list[int]], rows: int, cols: int, modulus: int = 0) -> li
                 else:
                     break
         for row in m[t:]:
-            for v in row:
-                if v > limit or -v > limit:
-                    raise OverflowLimitError(f"|{v}| exceeds the integer guard {limit}")
+            check_magnitude(*row)
         diag.append(abs(m[t][t]))
 
     return diag + [0] * (size - len(diag))

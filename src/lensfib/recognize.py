@@ -15,17 +15,10 @@ diffeomorphic after reversing one orientation iff q = -q' or q*q' = -1.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
-from .errors import (
-    Checked,
-    InvalidRangeError,
-    NotCoprimeError,
-    NotLensSpaceError,
-    NotLensSpaceReason,
-)
-from .exact_arith import check_magnitude, unimodular_complement
+from .errors import Checked, InvalidRangeError, NotLensSpaceError, NotLensSpaceReason
+from .exact_arith import check_coprime, check_magnitude, unimodular_complement
 from .seifert import SeifertFibration, normalize
 
 
@@ -44,8 +37,7 @@ class LensSpace(Checked, NamedTuple("LensSpace", [("p", int), ("q", int)])):
                 raise InvalidRangeError("the p = 0 lens space is L(0, 1)")
         elif not 0 <= q < p:
             raise InvalidRangeError(f"q = {q} not normalized for p = {p}")
-        if gcd(p, q) != 1:
-            raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+        check_coprime(p, q)
         return tuple.__new__(cls, (p, q))
 
     def __str__(self) -> str:
@@ -54,8 +46,7 @@ class LensSpace(Checked, NamedTuple("LensSpace", [("p", int), ("q", int)])):
 
 def lens_normalize(p: int, q: int) -> LensSpace:
     """L(p, q) for arbitrary coprime (p, q): L(-p, -q) for p < 0, q mod p."""
-    if gcd(p, q) != 1:
-        raise NotCoprimeError(f"gcd({p}, {q}) != 1")
+    check_coprime(p, q)
     if p < 0:
         p, q = -p, -q
     if p == 0:
@@ -88,12 +79,9 @@ def recognize(f: SeifertFibration) -> LensSpace:
         # (p, q) is (a1, b1) times a unimodular matrix, so gcd(p, q) = 1.
         if p < 0:
             p, q = -p, -q
-        if p == 0:
-            return LensSpace(0, 1)
-        q %= p
         if p > 2:
-            q = min(q, pow(q, -1, p))
-        return LensSpace(p, q)
+            q = min(q % p, pow(q, -1, p))
+        return lens_normalize(p, q)
     if f.genus == -1:
         if any(abs(a) != 1 for a, _ in f.pairs):
             raise NotLensSpaceError(

@@ -46,8 +46,10 @@ MUTANTS = [
     # The second pair of a two-pair class is built from the first pair's key entries.
     ("classify.py", "_new(SeifertPair, key[3:])", "_new(SeifertPair, key[1:3])",
      ["tests/test_enumerate_corpus.py"]),
-    # Smith form's divisibility chain returns its lcm unchecked.
-    ("exact_arith.py", "            check_magnitude(diag[j])\n", "", ["tests/test_exact_arith.py"]),
+    # Smith form returns its finished chain unchecked.
+    ("exact_arith.py", "    check_magnitude(*diag)\n", "", ["tests/test_exact_arith.py"]),
+    # The one coprimality check lets a common factor of 2 through.
+    ("exact_arith.py", "if gcd(a, b) != 1:", "if gcd(a, b) > 2:", ["tests/test_exact_arith.py"]),
     # Smith form's closed-form 2x2 block takes |ad + bc| for its determinant.
     ("exact_arith.py", "abs(a * d - b * c)", "abs(a * d + b * c)",
      ["tests/test_exact_arith.py", "tests/test_pi1.py"]),
@@ -58,7 +60,9 @@ MUTANTS = [
     # The parse regex lets a comma between pairs be left out.
     ("seifert.py", r"(?:,\s*", r"(?:,?\s*", ["tests/test_parse_golden.py"]),
     # recognize keeps q mod p, not the smaller of q and its inverse.
-    ("recognize.py", "min(q, pow(q, -1, p))", "q", ["tests/test_recognize.py"]),
+    ("recognize.py", "min(q % p, pow(q, -1, p))", "q % p", ["tests/test_recognize.py"]),
+    # ... or compares its inverse with q unreduced, which may be negative or past p.
+    ("recognize.py", "min(q % p,", "min(q,", ["tests/test_recognize.py"]),
     # SeifertFibration's __new__ builds the tuple but never validates it.
     ("seifert.py", "        validate(self)\n", "", ["tests/test_value_types.py"]),
     # normalize returns a b summed beyond the guard.

@@ -25,7 +25,6 @@ from lensfib import (
 from lensfib.construct import (
     GluingChoice,
     ModelWeights,
-    _recipe,
     construct_s2xs1,
     gluing_choice,
     isotropy_order,
@@ -112,9 +111,9 @@ def test_construct_trace_identities():
         a10, a20 = 0, 0
         while gcd(a10, a20) != 1:
             a10, a20 = (rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(2))
-        _, s = gluing_choice(p, q)
-        u = gcd(p, s * a10 - a20)
-        alpha, alpha1, alpha2, alpha1p, beta1, beta1p, beta2 = _recipe(p, s, a10, a20, u)
+        trace = construct_fibration(LensSpace(p, q), a10, a20).trace
+        u, alpha, alpha1, alpha2, alpha1p, beta1, beta1p, beta2, _, s = trace
+        assert u == gcd(p, s * a10 - a20)
         assert alpha * u == p
         assert alpha1 * beta1p - alpha1p * beta1 == 1
         assert (alpha2, -beta2) == (alpha1 * s - alpha1p * p, beta1 * s - beta1p * p)

@@ -6,7 +6,8 @@ import pytest
 from helpers import deadline, det_bruteforce, lower_guard
 
 import lensfib.exact_arith
-from lensfib import OverflowLimitError
+from lensfib import LensSpace, OverflowLimitError, classify_pair, construct_fibration
+from lensfib.construct import ModelWeights, construct_s2xs1, s3_fibration
 from lensfib.errors import InvalidRangeError, NotCoprimeError
 from lensfib.exact_arith import (
     check_magnitude,
@@ -15,6 +16,7 @@ from lensfib.exact_arith import (
     smith_normal_form,
     unimodular_complement,
 )
+from lensfib.recognize import lens_normalize
 
 
 def test_gcd_nonneg_examples():
@@ -92,6 +94,24 @@ def test_unimodular_complement_not_coprime():
     for alpha_prime in (1, -1):
         with pytest.raises(InvalidRangeError, match="alpha must be non-zero"):
             unimodular_complement(0, alpha_prime)
+
+
+@pytest.mark.parametrize("function, args", [
+    (LensSpace, (6, 4)),
+    (lens_normalize, (-6, 4)),
+    (ModelWeights, (4, -6)),
+    (lambda a10, a20: construct_fibration(LensSpace(5, 2), a10, a20), (-4, 6)),
+    (construct_s2xs1, (2, 0)),
+    (s3_fibration, (9, 6)),
+    (lambda m1, m2: classify_pair(LensSpace(7, 2), m1, m2), (2, 4)),
+], ids=["LensSpace", "lens_normalize", "ModelWeights", "construct_fibration",
+        "construct_s2xs1", "s3_fibration", "classify_pair"])
+def test_every_entry_point_refuses_a_common_factor_naming_the_pair(function, args):
+    """Each public value or function that needs a coprime pair refuses one
+    with a common factor, naming it in argument order, as the CLI prints it."""
+    with pytest.raises(NotCoprimeError) as refused:
+        function(*args)
+    assert str(refused.value) == "gcd({}, {}) != 1".format(*args)
 
 
 @pytest.mark.parametrize("function, args", [
